@@ -9,7 +9,7 @@ minimizes the belief-weighted sum of their costs with the belief held fixed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,19 +51,7 @@ class ExecutablePlan:
 
 def _chain_config(config: SolverConfig) -> SolverConfig:
     """The same solver settings with a single-segment schedule."""
-    return SolverConfig(
-        horizon=config.horizon,
-        segments=1,
-        max_iterations=config.max_iterations,
-        cost_tolerance=config.cost_tolerance,
-        gradient_tolerance=config.gradient_tolerance,
-        alpha_schedule=config.alpha_schedule,
-        regularization_init=config.regularization_init,
-        regularization_factor=config.regularization_factor,
-        regularization_min=config.regularization_min,
-        regularization_max=config.regularization_max,
-        value_recursion=config.value_recursion,
-    )
+    return replace(config, segments=1, boundaries=None)
 
 
 def poddp_plan(

@@ -13,12 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .baselines import ExecutablePlan, PlannerKind, plan
 from .belief import Belief, DegenerateEvidenceError, bayes_update
@@ -137,19 +136,11 @@ def execute_episode(
 
     while remaining_segments:
         horizon_left = int(sum(remaining_segments))
-        seg_cfg = SolverConfig(
+        seg_cfg = replace(
+            config,
             horizon=horizon_left,
             boundaries=tuple(np.cumsum(remaining_segments[:-1]).tolist()) or None,
             segments=len(remaining_segments),
-            max_iterations=config.max_iterations,
-            cost_tolerance=config.cost_tolerance,
-            gradient_tolerance=config.gradient_tolerance,
-            alpha_schedule=config.alpha_schedule,
-            regularization_init=config.regularization_init,
-            regularization_factor=config.regularization_factor,
-            regularization_min=config.regularization_min,
-            regularization_max=config.regularization_max,
-            value_recursion=config.value_recursion,
         )
         # Plans are pure functions of (x, b, schedule); share them across
         # episodes so identical prefixes (always the initial solve) are
@@ -265,6 +256,10 @@ def welch_t(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
     df = se2 ** 2 / (
         (va / len(a)) ** 2 / (len(a) - 1) + (vb / len(b)) ** 2 / (len(b) - 1)
     )
+    # Imported here: scipy takes most of a second to load, and nothing else
+    # in the package needs it.
+    from scipy import stats
+
     p = 2.0 * float(stats.t.sf(abs(t), df))
     return float(t), p
 

@@ -10,6 +10,7 @@ others.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ def idm_accel_with_partials(
     """
     p = params
     gap = ego_lon - other_lon
-    c = 2.0 * np.sqrt(p.max_accel * p.comfort_decel)
+    c = 2.0 * math.sqrt(p.max_accel * p.comfort_decel)
     s_star = p.min_gap + other_v * p.time_headway + other_v * (other_v - ego_v) / c
     g_arg = gap - p.gap_floor
     s_eff = p.gap_floor + softplus(g_arg)

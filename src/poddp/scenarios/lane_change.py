@@ -13,6 +13,7 @@ by the other vehicle's longitudinal position and speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,7 +166,7 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
     def dynamics_mean(x, u, z):
         a, _ = _other_accel(cfg, x, z)
         ego = bicycle_step(x[:4], u, dt, veh)
-        v_o = np.clip(x[V_O] + dt * a, 0.0, cfg.other_speed_max)
+        v_o = min(max(x[V_O] + dt * a, 0.0), cfg.other_speed_max)
         return np.concatenate([ego, [x[LON_O] + dt * x[V_O], v_o]])
 
     def dynamics_jacobians(x, u, z):
@@ -192,13 +193,20 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
     def observation_jacobian(x, z):
         return np.zeros((1, STATE_DIM))
 
+    ax = 1.0 / cfg.collision_lon_scale ** 2
+    ay = 1.0 / cfg.collision_lat_scale ** 2
+
+    def _collision_value(x):
+        """Gaussian-bump proximity penalty."""
+        dx = x[PX] - x[LON_O]
+        dy = x[PY] - cfg.lane_y
+        return cfg.collision_weight * math.exp(-(dx * dx) * ax - (dy * dy) * ay)
+
     def _collision(x):
         """Gaussian-bump proximity penalty; value, gradient, Hessian."""
         dx = x[PX] - x[LON_O]
         dy = x[PY] - cfg.lane_y
-        ax = 1.0 / cfg.collision_lon_scale ** 2
-        ay = 1.0 / cfg.collision_lat_scale ** 2
-        c = cfg.collision_weight * np.exp(-(dx * dx) * ax - (dy * dy) * ay)
+        c = _collision_value(x)
         g_exp = np.zeros(STATE_DIM)  # gradient of the exponent
         g_exp[PX] = -2.0 * dx * ax
         g_exp[PY] = -2.0 * dy * ay
@@ -209,7 +217,7 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
         h_exp[PY, PY] = -2.0 * ay
         grad = c * g_exp
         hess = c * (np.outer(g_exp, g_exp) + h_exp)
-        return float(c), grad, hess
+        return c, grad, hess
 
     def _lane_urgency(px):
         """The starting lane runs out near lane_end: the lane-keeping weight
@@ -229,7 +237,7 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
         return w, g1, g2
 
     def running_cost(x, u, z):
-        c, _, _ = _collision(x)
+        c = _collision_value(x)
         w, _, _ = _lane_urgency(x[PX])
         return (
             w * (x[PY] - cfg.lane_y) ** 2
@@ -263,7 +271,7 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
         return l_x, l_u, l_xx, np.zeros((STATE_DIM, 2)), l_uu
 
     def final_cost(x, z):
-        c, _, _ = _collision(x)
+        c = _collision_value(x)
         return (
             cfg.lane_weight_final * (x[PY] - cfg.lane_y) ** 2
             + cfg.heading_weight * x[TH] ** 2

@@ -10,6 +10,7 @@ enters through the noisy state transitions alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,7 @@ def resistance_coefficient(cfg: TerrainConfig, py: float, z: int):
 
 def resistive_decel(cfg: TerrainConfig, py: float, v: float, z: int) -> float:
     rho, _ = resistance_coefficient(cfg, py, z)
-    return rho * np.tanh(v)
+    return rho * math.tanh(v)
 
 
 def build(cfg: TerrainConfig) -> ProblemModel:
@@ -121,7 +122,7 @@ def build(cfg: TerrainConfig) -> ProblemModel:
 
     def dynamics_jacobians(x, u, z):
         rho, drho = resistance_coefficient(cfg, x[PY], z)
-        th = np.tanh(x[V])
+        th = math.tanh(x[V])
         eff = np.array([u[STEER], u[ACCEL] - rho * th])
         f_x, f_u = bicycle_jacobians(x, eff, dt, veh)
         active = f_u[V, ACCEL] / dt if dt > 0 else 0.0  # speed-clamp subgradient

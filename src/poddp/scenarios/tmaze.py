@@ -106,7 +106,7 @@ def config_from_dict(cfg: dict) -> TMazeConfig:
 
 def observation_variance(cfg: TMazeConfig, py: float) -> float:
     """Smoothly decaying variance of the goal cue as the vehicle advances."""
-    decay = 1.0 / (1.0 + np.exp(cfg.obs_decay_rate * (py - cfg.obs_decay_mid)))
+    decay = sigmoid(cfg.obs_decay_rate * (cfg.obs_decay_mid - py))
     return cfg.sigma_level ** 2 * (decay + cfg.obs_var_floor_frac)
 
 
@@ -127,6 +127,16 @@ def _wall_profile(cfg: TMazeConfig, px: float):
         d1 += 2.0 * f * fp
         d2 += 2.0 * (fp * fp + f * fpp)
     return val, d1, d2
+
+
+def _wall_value(cfg: TMazeConfig, px: float, py: float) -> float:
+    """The wall penalty of `_wall_cost` without its derivatives."""
+    s = cfg.wall_sharpness
+    hw = cfg.corridor_half_width
+    f_pos = softplus(s * (px - hw))
+    f_neg = softplus(s * (-px - hw))
+    gate = sigmoid((cfg.corridor_open_y - py) / cfg.gate_width)
+    return cfg.wall_weight * gate * (f_pos * f_pos + f_neg * f_neg)
 
 
 def _wall_gate(cfg: TMazeConfig, py: float):
@@ -151,6 +161,8 @@ def _wall_cost(cfg: TMazeConfig, px: float, py: float):
 def build(cfg: TMazeConfig) -> ProblemModel:
     dt = cfg.dt
     veh = cfg.vehicle
+    goals = [cfg.goal(z) for z in (LEFT, RIGHT)]
+    goal_xy = [tuple(g.tolist()) for g in goals]
 
     def dynamics_mean(x, u, z):
         return bicycle_step(x, u, dt, veh)
@@ -168,20 +180,19 @@ def build(cfg: TMazeConfig) -> ProblemModel:
         return np.zeros((1, 4))
 
     def running_cost(x, u, z):
-        goal = cfg.goal(z)
-        d = x[:2] - goal
-        wall, _, _ = _wall_cost(cfg, x[PX], x[PY])
+        gx, gy = goal_xy[z]
+        dx = x[PX] - gx
+        dy = x[PY] - gy
         return (
-            cfg.goal_weight_running * float(d @ d)
-            + wall
+            cfg.goal_weight_running * (dx * dx + dy * dy)
+            + _wall_value(cfg, x[PX], x[PY])
             + cfg.speed_weight * (x[V] - cfg.desired_speed) ** 2
             + cfg.steer_weight * u[STEER] ** 2
             + cfg.accel_weight * u[ACCEL] ** 2
         )
 
     def running_cost_derivatives(x, u, z):
-        goal = cfg.goal(z)
-        d = x[:2] - goal
+        d = x[:2] - goals[z]
         _, wall_g, wall_h = _wall_cost(cfg, x[PX], x[PY])
         l_x = np.zeros(4)
         l_x[:2] = 2.0 * cfg.goal_weight_running * d + wall_g
@@ -196,11 +207,13 @@ def build(cfg: TMazeConfig) -> ProblemModel:
         return l_x, l_u, l_xx, np.zeros((4, 2)), l_uu
 
     def final_cost(x, z):
-        d = x[:2] - cfg.goal(z)
-        return cfg.goal_weight_final * float(d @ d)
+        gx, gy = goal_xy[z]
+        dx = x[PX] - gx
+        dy = x[PY] - gy
+        return cfg.goal_weight_final * (dx * dx + dy * dy)
 
     def final_cost_derivatives(x, z):
-        d = x[:2] - cfg.goal(z)
+        d = x[:2] - goals[z]
         lf_x = np.zeros(4)
         lf_x[:2] = 2.0 * cfg.goal_weight_final * d
         lf_xx = np.zeros((4, 4))

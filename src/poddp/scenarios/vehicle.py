@@ -1,7 +1,14 @@
-"""Kinematic bicycle model and smooth shaping functions shared by scenarios."""
+"""Kinematic bicycle model and smooth shaping functions shared by scenarios.
+
+Everything here runs on scalars, once per model callback, so it uses `math`
+and plain comparisons rather than numpy ufuncs. Non-finite inputs give
+non-finite outputs (NaN where `math` would raise `ValueError`), which the
+solver's rollout checks then reject.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +26,18 @@ class BicycleParams:
     accel_max: float = 8.0  # m/s^2, enforced by clamp at execution
 
 
+def _cos_sin(th):
+    try:
+        return math.cos(th), math.sin(th)
+    except ValueError:  # infinite angle
+        return math.nan, math.nan
+
+
+def _saturate(value, limit):
+    # max before min so that a NaN value propagates.
+    return min(max(value, -limit), limit)
+
+
 def bicycle_step(x, u, dt: float, params: BicycleParams) -> np.ndarray:
     """Explicit-Euler kinematic bicycle step.
 
@@ -26,14 +45,15 @@ def bicycle_step(x, u, dt: float, params: BicycleParams) -> np.ndarray:
     the execution-time clamp) and speed is clamped to [0, v_max].
     """
     px, py, th, v = x[PX], x[PY], x[TH], x[V]
-    steer = np.clip(u[STEER], -params.steer_max, params.steer_max)
-    accel = np.clip(u[ACCEL], -params.accel_max, params.accel_max)
+    steer = _saturate(u[STEER], params.steer_max)
+    accel = _saturate(u[ACCEL], params.accel_max)
+    cos_th, sin_th = _cos_sin(th)
     return np.array(
         [
-            px + v * np.cos(th) * dt,
-            py + v * np.sin(th) * dt,
-            th + (v / params.wheelbase) * np.tan(steer) * dt,
-            np.clip(v + accel * dt, 0.0, params.v_max),
+            px + v * cos_th * dt,
+            py + v * sin_th * dt,
+            th + (v / params.wheelbase) * math.tan(steer) * dt,
+            min(max(v + accel * dt, 0.0), params.v_max),
         ]
     )
 
@@ -41,16 +61,18 @@ def bicycle_step(x, u, dt: float, params: BicycleParams) -> np.ndarray:
 def bicycle_jacobians(x, u, dt: float, params: BicycleParams):
     """Analytic (f_x, f_u) of `bicycle_step`; clamps use their subgradients."""
     th, v = x[TH], x[V]
-    steer = np.clip(u[STEER], -params.steer_max, params.steer_max)
-    accel = np.clip(u[ACCEL], -params.accel_max, params.accel_max)
+    steer = _saturate(u[STEER], params.steer_max)
+    accel = _saturate(u[ACCEL], params.accel_max)
     steer_active = 1.0 if abs(u[STEER]) < params.steer_max else 0.0
     accel_active = 1.0 if abs(u[ACCEL]) < params.accel_max else 0.0
     v_active = 1.0 if 0.0 < v + accel * dt < params.v_max else 0.0
+    cos_th, sin_th = _cos_sin(th)
+    cos_steer = math.cos(steer)
     f_x = np.array(
         [
-            [1.0, 0.0, -v * np.sin(th) * dt, np.cos(th) * dt],
-            [0.0, 1.0, v * np.cos(th) * dt, np.sin(th) * dt],
-            [0.0, 0.0, 1.0, np.tan(steer) * dt / params.wheelbase],
+            [1.0, 0.0, -v * sin_th * dt, cos_th * dt],
+            [0.0, 1.0, v * cos_th * dt, sin_th * dt],
+            [0.0, 0.0, 1.0, math.tan(steer) * dt / params.wheelbase],
             [0.0, 0.0, 0.0, v_active],
         ]
     )
@@ -58,29 +80,20 @@ def bicycle_jacobians(x, u, dt: float, params: BicycleParams):
         [
             [0.0, 0.0],
             [0.0, 0.0],
-            [steer_active * v * dt / (params.wheelbase * np.cos(steer) ** 2), 0.0],
+            [steer_active * v * dt / (params.wheelbase * cos_steer * cos_steer), 0.0],
             [0.0, v_active * accel_active * dt],
         ]
     )
     return f_x, f_u
 
 
-def clamp_control(u, params: BicycleParams) -> np.ndarray:
-    """Hard actuator limits, applied at execution time only."""
-    return np.array(
-        [
-            np.clip(u[STEER], -params.steer_max, params.steer_max),
-            np.clip(u[ACCEL], -params.accel_max, params.accel_max),
-        ]
-    )
+def sigmoid(x: float) -> float:
+    # Only ever exponentiates a non-positive number, so nothing overflows.
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
-def sigmoid(x):
-    # Clip keeps the unused np.where branch from overflowing; the sigmoid is
-    # flat to double precision well inside +-500.
-    x = np.clip(x, -500.0, 500.0)
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-
-
-def softplus(x):
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+def softplus(x: float) -> float:
+    return math.log1p(math.exp(-abs(x))) + (x if x > 0.0 else 0.0)

@@ -64,9 +64,6 @@ class SolverConfig:
     regularization_factor: float = 10.0
     regularization_min: float = 1e-9
     regularization_max: float = 1e10
-    # "exact" uses the full curvature correction in the value recursion;
-    # "half" halves it. See the decisions ledger for the choice of default.
-    value_recursion: str = "exact"
 
     def segment_lengths(self) -> Tuple[int, ...]:
         if self.boundaries is not None:
@@ -311,7 +308,7 @@ def _assemble_q(terms: Sequence[_ZTerm], ns: int, nu: int):
     return q0, q_s, q_u, symmetrize(q_ss), q_su, symmetrize(q_uu), dv_children
 
 
-def _solve_gains(q0, q_s, q_u, q_ss, q_su, q_uu, dv_children, lam, recursion):
+def _solve_gains(q0, q_s, q_u, q_ss, q_su, q_uu, dv_children, lam):
     nu = q_u.size
     q_uu_reg = q_uu + lam * np.eye(nu)
     try:
@@ -323,12 +320,8 @@ def _solve_gains(q0, q_s, q_u, q_ss, q_su, q_uu, dv_children, lam, recursion):
     k = -sol[:, 0]
     gain = -sol[:, 1:].reshape(nu, -1)
     dv = -0.5 * float(k @ q_uu_reg @ k)
-    if recursion == "half":
-        v_s = q_s - 0.5 * gain.T @ q_uu_reg @ k
-        v_ss = q_ss - 0.5 * gain.T @ q_uu_reg @ gain
-    else:
-        v_s = q_s + gain.T @ q_uu_reg @ k + gain.T @ q_u + q_su @ k
-        v_ss = q_ss + gain.T @ q_uu_reg @ gain + gain.T @ q_su.T + q_su @ gain
+    v_s = q_s + gain.T @ q_uu_reg @ k + gain.T @ q_u + q_su @ k
+    v_ss = q_ss + gain.T @ q_uu_reg @ gain + gain.T @ q_su.T + q_su @ gain
     return k, gain, QuadraticValueModel(
         dv=dv + dv_children, v_s=v_s, v_ss=symmetrize(v_ss), cost_to_go=q0
     )
@@ -373,7 +366,6 @@ def optimize_control(
     child_value_models: Optional[Sequence[QuadraticValueModel]],
     b: Belief,
     lam: float = 0.0,
-    recursion: str = "exact",
 ):
     """Branch-step control update: belief-weighted Q-expansion through the
     per-latent successor chains (dynamics -> observation -> belief update).
@@ -405,7 +397,56 @@ def optimize_control(
         terms.append(
             _ZTerm(weights[z], dbs[z], d2bs[z], cost, l_s, l_u, l_ss, l_su, l_uu, a_mat, b_mat, vm)
         )
-    return _solve_gains(*_assemble_q(terms, ns, model.control_dim), lam, recursion)
+    return _solve_gains(*_assemble_q(terms, ns, model.control_dim), lam)
+
+
+def _insegment_q(model: ProblemModel, u, x, beta, z_dyn: int, next_vm: QuadraticValueModel):
+    """Q-expansion of one in-segment step, block-wise over (x, beta).
+
+    The successor (f(x, u), beta) and its value model are shared by every
+    latent, so only the belief-weighted running costs are summed per latent.
+    Because the weights b_z sum to one, their derivatives sum to zero, and
+    the value-level and value-gradient terms of the per-latent expansion
+    cancel exactly; they are left out rather than summed to zero.
+    """
+    n = model.state_dim
+    nz = model.num_latents
+    nu = model.control_dim
+    f_x, f_u = _dynamics_jacs(model, x, u, z_dyn)
+    p = softmax(beta)
+    jac = np.diag(p) - np.outer(p, p)  # softmax_jacobian(beta)
+    costs = np.empty(nz)
+    l_x = np.empty((nz, n))
+    l_u = np.empty((nz, nu))
+    l_xx = np.zeros((n, n))
+    l_xu = np.zeros((n, nu))
+    l_uu = np.zeros((nu, nu))
+    for z in range(nz):
+        l_x[z], l_u[z], lz_xx, lz_xu, lz_uu = _running_cost_derivs(model, x, u, z)
+        costs[z] = model.running_cost(x, u, z)
+        l_xx += p[z] * lz_xx
+        l_xu += p[z] * lz_xu
+        l_uu += p[z] * lz_uu
+    # sum_z costs[z] * softmax_hessian(beta, z) in closed form: the Hessian
+    # of p_z is p_z (d_z d_z^T - jac) with d_z = e_z - p.
+    dev = np.eye(nz) - p
+    l_bb = dev.T @ ((costs * p)[:, None] * dev) - float(costs @ p) * jac
+
+    v_s, v_ss = next_vm.v_s, next_vm.v_ss
+    v_x, v_b = v_s[:n], v_s[n:]
+    v_xx, v_xb = v_ss[:n, :n], v_ss[:n, n:]
+    fx_vxx = f_x.T @ v_xx
+    q_s = np.concatenate([p @ l_x + f_x.T @ v_x, costs @ jac + v_b])
+    q_u = p @ l_u + f_u.T @ v_x
+    q_ss = np.empty((n + nz, n + nz))
+    q_ss[:n, :n] = l_xx + fx_vxx @ f_x
+    q_ss[:n, n:] = l_x.T @ jac + f_x.T @ v_xb
+    q_ss[n:, :n] = q_ss[:n, n:].T
+    q_ss[n:, n:] = l_bb + v_ss[n:, n:]
+    q_su = np.concatenate([l_xu + fx_vxx @ f_u, jac.T @ l_u + v_xb.T @ f_u])
+    q_uu = l_uu + f_u.T @ v_xx @ f_u
+    q0 = float(p @ costs) + next_vm.cost_to_go
+    return q0, q_s, q_u, symmetrize(q_ss), q_su, symmetrize(q_uu), next_vm.dv
 
 
 def _insegment_step(
@@ -416,35 +457,17 @@ def _insegment_step(
     z_dyn: int,
     next_vm: QuadraticValueModel,
     lam: float,
-    recursion: str,
 ):
     """One standard DDP step over the augmented state within a segment: the
     belief logits are carried unchanged and the successor is shared by all
     latent hypotheses (dynamics conditioned on the node's branch)."""
-    n = model.state_dim
-    nz = model.num_latents
-    ns = n + nz
-    f_x, f_u = _dynamics_jacs(model, x, u, z_dyn)
-    a_mat = np.zeros((ns, ns))
-    a_mat[:n, :n] = f_x
-    a_mat[n:, n:] = np.eye(nz)
-    b_mat = np.zeros((ns, model.control_dim))
-    b_mat[:n, :] = f_u
-    weights, dbs, d2bs = _belief_terms(np.asarray(beta, float), n)
-    terms = []
-    for z in range(nz):
-        cost, l_s, l_u, l_ss, l_su, l_uu = _cost_block(model, x, u, z, ns)
-        terms.append(
-            _ZTerm(weights[z], dbs[z], d2bs[z], cost, l_s, l_u, l_ss, l_su, l_uu, a_mat, b_mat, next_vm)
-        )
-    return _solve_gains(*_assemble_q(terms, ns, model.control_dim), lam, recursion)
+    return _solve_gains(*_insegment_q(model, u, x, beta, z_dyn, next_vm), lam)
 
 
 def backward_pass(
     model: ProblemModel,
     tree: TrajectoryTree,
     lam: float = 0.0,
-    recursion: str = "exact",
 ) -> Tuple[GainSchedule, Dict[HistoryPath, QuadraticValueModel]]:
     """Depth-first, post-order dynamic programming over the tree.
 
@@ -475,10 +498,10 @@ def backward_pass(
             if not leaf and j == m - 1:
                 s = BeliefState(x, BeliefLogits(np.asarray(beta, dtype=float)))
                 k, K, vm = optimize_control(
-                    model, u, s, child_vms, Belief(softmax(beta)), lam, recursion
+                    model, u, s, child_vms, Belief(softmax(beta)), lam
                 )
             else:
-                k, K, vm = _insegment_step(model, u, x, beta, z_dyn, vm, lam, recursion)
+                k, K, vm = _insegment_step(model, u, x, beta, z_dyn, vm, lam)
             gains.open[(h, j)] = k
             gains.feedback[(h, j)] = K
         value_models[h] = vm
@@ -526,7 +549,10 @@ def solve(
     Terminates on relative cost improvement below `cost_tolerance`, a
     stationary control update (max |k| below `gradient_tolerance`),
     `max_iterations`, or an exhausted line search at the regularization cap;
-    the last two return the best tree so far with `converged=False`.
+    the last two return the best tree so far with `converged=False`. The
+    returned tree carries the gains and value models of a backward pass on
+    itself, with lambda escalated as far as `regularization_max`; when even
+    that fails it carries none.
     """
     seg = config.segment_lengths()
     if u_init is None:
@@ -535,36 +561,28 @@ def solve(
     cost = evaluate_tree_cost(model, tree)
     lam = config.regularization_init
     log: List[dict] = []
-    gains = GainSchedule()
     converged = False
 
     for it in range(1, config.max_iterations + 1):
-        # Backward pass, escalating regularization on failure.
-        while True:
-            try:
-                gains, vms = backward_pass(model, tree, lam, config.value_recursion)
-                break
-            except BackwardFailureError:
-                lam *= config.regularization_factor
-                if lam > config.regularization_max:
-                    return SolveResult(tree, gains, log, False, cost)
+        step = _regularized_backward_pass(model, tree, lam, config)
+        if step is None:
+            return _finish(tree, GainSchedule(), {}, log, False, cost)
+        gains, vms, lam = step
         grad_norm = gains.max_open_norm()
         if grad_norm < config.gradient_tolerance:
-            tree.value_models = vms
-            _attach_gains(tree, gains)
             log.append(_log_row(it, cost, 0.0, lam, grad_norm))
-            converged = True
-            break
+            return _finish(tree, gains, vms, log, True, cost)
 
         accepted = None
         for alpha in config.alpha_schedule:
+            # A trial that diverges, or whose cost overflows, is rejected.
             try:
                 cand = forward_pass(
                     model, x0, b0, tree.controls, tree, gains, alpha, seg
                 )
-            except (RolloutDivergenceError, ArithmeticError):
+                cand_cost = evaluate_tree_cost(model, cand)
+            except ArithmeticError:
                 continue
-            cand_cost = evaluate_tree_cost(model, cand)
             if math.isfinite(cand_cost) and cand_cost < cost:
                 accepted = (alpha, cand, cand_cost)
                 break
@@ -585,19 +603,32 @@ def solve(
             converged = True
             break
 
-    # Attach gains and value models consistent with the final nominal tree.
-    try:
-        gains, vms = backward_pass(model, tree, lam, config.value_recursion)
-        tree.value_models = vms
-    except BackwardFailureError:
-        pass
-    _attach_gains(tree, gains)
-    return SolveResult(tree, gains, log, converged, cost)
+    # Gains and value models of the final nominal tree, not of its parent.
+    step = _regularized_backward_pass(model, tree, lam, config)
+    gains, vms = (GainSchedule(), {}) if step is None else step[:2]
+    return _finish(tree, gains, vms, log, converged, cost)
 
 
-def _attach_gains(tree: TrajectoryTree, gains: GainSchedule):
+def _regularized_backward_pass(model, tree, lam, config: SolverConfig):
+    """`backward_pass` at `lam`, multiplying it by `regularization_factor`
+    on failure. Returns (gains, value models, lam), or None once lam passes
+    `regularization_max`."""
+    while True:
+        try:
+            gains, vms = backward_pass(model, tree, lam)
+            return gains, vms, lam
+        except BackwardFailureError:
+            lam *= config.regularization_factor
+            if lam > config.regularization_max:
+                return None
+
+
+def _finish(tree, gains, vms, log, converged, cost) -> SolveResult:
+    """Attach the gains and value models computed on `tree` to it."""
+    tree.value_models = vms
     tree.gains_open = dict(gains.open)
     tree.gains_feedback = dict(gains.feedback)
+    return SolveResult(tree, gains, log, converged, cost)
 
 
 def _log_row(iteration, cost, alpha, lam, gradient_norm):

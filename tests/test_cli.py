@@ -1,9 +1,14 @@
 """Command-line interface: solve and benchmark subcommands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poddp
 from poddp.cli import main
 
 
@@ -105,3 +110,16 @@ def test_sigma_level_override_changes_config_hash(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "solve_tmaze_poddp.json").read_text())
     assert payload["config"]["sigma_level"] == 1.1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the Welch test's p value and takes most of a second
+    # to import, so starting the CLI must not load it.
+    src = str(Path(poddp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, poddp.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,9 @@
 """Benchmark scenarios: vehicle, T-maze, terrain, IDM, lane change."""
 
+import math
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,17 @@ from poddp.scenarios import build_scenario, scenario_with_overrides
 from poddp.scenarios import lane_change, terrain, tmaze
 from poddp.scenarios.config import ConfigError, apply_overrides, config_hash, default_config, parse_config
 from poddp.scenarios.idm import IDMParams, idm_accel, idm_accel_with_partials
-from poddp.scenarios.vehicle import PX, PY, TH, V, BicycleParams, bicycle_step
+from poddp.scenarios.vehicle import (
+    PX,
+    PY,
+    TH,
+    V,
+    BicycleParams,
+    bicycle_jacobians,
+    bicycle_step,
+    sigmoid,
+    softplus,
+)
 from poddp.scenarios.lane_change import LON_O, V_O
 from poddp.solver import SolverConfig, solve
 
@@ -41,6 +55,48 @@ def test_bicycle_heading_update_oracle():
     x = np.array([0.0, 0.0, 0.0, 10.0])
     x2 = bicycle_step(x, np.array([0.1, 0.0]), 0.1, params)
     assert abs(x2[TH] - THETA_STEP_ORACLE) < 1e-12
+
+
+SHAPING_POINTS = (0.0, 1e-3, -1e-3, 40.0, -40.0, 800.0, -800.0)
+
+
+def _closed_form(x):
+    """(1 / (1 + e^-x), log(1 + e^x)) in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(x)
+        return float(1 / (1 + (-d).exp())), float((1 + d.exp()).ln())
+
+
+@pytest.mark.parametrize("x", SHAPING_POINTS)
+def test_sigmoid_softplus_match_closed_form_without_warnings(x):
+    sig_ref, sp_ref = _closed_form(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig, sp = sigmoid(x), softplus(x)
+        sig_neg = sigmoid(-x)
+    assert sig == pytest.approx(sig_ref, rel=1e-15, abs=1e-300)
+    assert sp == pytest.approx(sp_ref, rel=1e-15, abs=1e-300)
+    assert sig + sig_neg == pytest.approx(1.0, rel=0, abs=2.3e-16)
+
+
+def test_shaping_functions_propagate_non_finite_inputs():
+    assert math.isnan(sigmoid(math.nan))
+    assert math.isnan(softplus(math.nan))
+    assert sigmoid(math.inf) == 1.0 and sigmoid(-math.inf) == 0.0
+    assert softplus(math.inf) == math.inf and softplus(-math.inf) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_bicycle_non_finite_heading_gives_non_finite_output(bad):
+    params = BicycleParams()
+    x = np.array([0.0, 0.0, bad, 5.0])
+    u = np.array([0.1, 0.5])
+    assert not np.isfinite(bicycle_step(x, u, 0.1, params)).all()
+    f_x, _ = bicycle_jacobians(x, u, 0.1, params)
+    assert not np.isfinite(f_x).all()
+    nan_steer = np.array([math.nan, 0.0])
+    assert np.isnan(bicycle_step(np.array([0.0, 0.0, 0.0, 5.0]), nan_steer, 0.1, params)).any()
 
 
 def test_bicycle_saturates_at_limits():

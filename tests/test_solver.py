@@ -1,7 +1,11 @@
 """PODDP solver: forward pass, tree cost, Q-expansion, backward pass, solve."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poddp.belief import Belief, BeliefLogits, BeliefState, LatentSet, bayes_update, softmax
 from poddp.model import ProblemModel, numerical_gradient
@@ -434,3 +438,267 @@ def test_value_hessian_symmetric(tmaze_scenario):
     result = solve(sc.model, sc.initial_state, sc.prior, config)
     for vm in result.tree.value_models.values():
         assert np.max(np.abs(vm.v_ss - vm.v_ss.T)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# In-segment step
+
+
+def _insegment_points(sc, seed, count=12):
+    """Perturbed in-segment expansion points (x, beta, u, z_dyn, next value
+    model) taken from a briefly solved tree of the scenario."""
+    from poddp.solver import node_dynamics_latent
+
+    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=6)
+    tree = solve(sc.model, sc.initial_state, sc.prior, config).tree
+    rng = np.random.default_rng(seed)
+    nodes = sorted(tree.controls)
+    hi = 0.8 * sc.control_high
+    points = []
+    for _ in range(count):
+        h = nodes[rng.integers(len(nodes))]
+        m = tree.controls[h].shape[0]
+        last = m if tree.is_leaf(h) else m - 1  # the branch step is not in-segment
+        j = int(rng.integers(last))
+        x = tree.xs[h][j] + rng.standard_normal(sc.model.state_dim) * 0.01
+        beta = tree.betas[h][j] + rng.standard_normal(sc.model.num_latents) * 0.01
+        u = np.clip(tree.controls[h][j], -hi, hi) + rng.standard_normal(
+            sc.model.control_dim
+        ) * 0.01
+        z_dyn = node_dynamics_latent(h, tree.beliefs[()])
+        points.append((x, beta, u, z_dyn, tree.value_models[h]))
+    return points
+
+
+def _latent_cost_scenario():
+    """Two latents that change the state, control and cross cost terms (the
+    shipped scenarios only change state costs), with analytic derivatives."""
+    from types import SimpleNamespace
+
+    a = np.array([[1.0, 0.1], [0.0, 1.0]])
+    b = np.array([[0.0], [0.1]])
+    targets = (np.array([1.0, -0.5]), np.array([-2.0, 0.5]))
+    u_ref = (0.3, -0.4)
+    cross = (0.2, -0.1)
+
+    def running_cost(x, u, z):
+        d = x - targets[z]
+        e = u[0] - u_ref[z]
+        return float(0.5 * d @ d + 0.5 * e * e + cross[z] * x[0] * u[0])
+
+    def running_cost_derivatives(x, u, z):
+        l_x = x - targets[z] + np.array([cross[z] * u[0], 0.0])
+        l_u = np.array([u[0] - u_ref[z] + cross[z] * x[0]])
+        l_xu = np.array([[cross[z]], [0.0]])
+        return l_x, l_u, np.eye(2), l_xu, np.eye(1)
+
+    model = ProblemModel(
+        state_dim=2,
+        control_dim=1,
+        obs_dim=1,
+        latents=LatentSet(("a", "b")),
+        dynamics_mean=lambda x, u, z: a @ x + b @ u,
+        observation_mean=lambda x, z: np.array([float(z)]),
+        observation_noise=lambda x, z: np.ones(1),
+        running_cost=running_cost,
+        final_cost=lambda x, z: float(x @ x),
+        dt=1.0,
+        dynamics_jacobians=lambda x, u, z: (a, b),
+        running_cost_derivatives=running_cost_derivatives,
+        final_cost_derivatives=lambda x, z: (2.0 * x, 2.0 * np.eye(2)),
+    )
+    return SimpleNamespace(
+        model=model,
+        horizon=6,
+        segments=2,
+        initial_state=np.array([0.5, 0.0]),
+        prior=Belief(np.array([0.4, 0.6])),
+        control_high=np.array([10.0]),
+    )
+
+
+@pytest.mark.parametrize("name", ["tmaze", "terrain", "lanechange", "latent_costs"])
+def test_insegment_q_derivatives_match_finite_differences(name, request):
+    from poddp.model import FD_HESS_REL_STEP, numerical_jacobian
+    from poddp.solver import _dynamics_jacs, _insegment_q
+
+    if name == "latent_costs":
+        sc = _latent_cost_scenario()
+    else:
+        sc = request.getfixturevalue(f"{name}_scenario")
+    model = sc.model
+    n = model.state_dim
+    for x, beta, u, z_dyn, vm in _insegment_points(sc, seed=22):
+        q0, q_s, q_u, q_ss, q_su, q_uu, _ = _insegment_q(model, u, x, beta, z_dyn, vm)
+        f_x, f_u = _dynamics_jacs(model, x, u, z_dyn)
+        s_bar = np.concatenate([x, beta])
+
+        def q_num(sv, uv):
+            # Belief-weighted running cost plus the successor value, with the
+            # dynamics linearized as DDP's Q-expansion assumes.
+            xs, bs = sv[:n], sv[n:]
+            w = softmax(bs)
+            ds = sv - s_bar
+            succ = np.concatenate([f_x @ ds[:n] + f_u @ (uv - u), ds[n:]])
+            running = sum(
+                w[z] * model.running_cost(xs, uv, z) for z in range(len(w))
+            )
+            return running + vm.cost_to_go + vm.v_s @ succ + 0.5 * succ @ vm.v_ss @ succ
+
+        def grad_s(sv, uv):
+            return numerical_gradient(lambda p: q_num(p, uv), sv)
+
+        def grad_u(sv, uv):
+            return numerical_gradient(lambda p: q_num(sv, p), uv)
+
+        fd = {
+            "q_s": grad_s(s_bar, u),
+            "q_u": grad_u(s_bar, u),
+            "q_ss": numerical_jacobian(lambda sv: grad_s(sv, u), s_bar, FD_HESS_REL_STEP),
+            "q_su": numerical_jacobian(lambda uv: grad_s(s_bar, uv), u, FD_HESS_REL_STEP),
+            "q_uu": numerical_jacobian(lambda uv: grad_u(s_bar, uv), u, FD_HESS_REL_STEP),
+        }
+        analytic = {"q_s": q_s, "q_u": q_u, "q_ss": q_ss, "q_su": q_su, "q_uu": q_uu}
+        assert abs(q0 - q_num(s_bar, u)) < 1e-9 * max(1.0, abs(q0))
+        # The expansion is exact for this Q, so only differencing error
+        # remains: about 1e-8 of the scale on the shipped scenarios.
+        for key, value in fd.items():
+            scale = max(1.0, np.max(np.abs(value)))
+            assert np.max(np.abs(analytic[key] - value)) / scale < 1e-6, key
+
+
+@pytest.mark.parametrize("name", ["tmaze", "lanechange"])
+def test_insegment_q_equals_per_latent_expansion(name, request):
+    # The block-wise expansion drops per-latent terms that cancel because the
+    # belief weights sum to one; summing them all over zero-padded (x, beta)
+    # blocks, as the branch step does, must give the same Q.
+    from poddp.solver import (
+        _assemble_q,
+        _belief_terms,
+        _cost_block,
+        _dynamics_jacs,
+        _insegment_q,
+        _ZTerm,
+    )
+
+    sc = request.getfixturevalue(f"{name}_scenario")
+    model = sc.model
+    n, nz, nu = model.state_dim, model.num_latents, model.control_dim
+    ns = n + nz
+    for x, beta, u, z_dyn, vm in _insegment_points(sc, seed=23, count=6):
+        f_x, f_u = _dynamics_jacs(model, x, u, z_dyn)
+        a_mat = np.zeros((ns, ns))
+        a_mat[:n, :n] = f_x
+        a_mat[n:, n:] = np.eye(nz)
+        b_mat = np.zeros((ns, nu))
+        b_mat[:n] = f_u
+        weights, dbs, d2bs = _belief_terms(beta, n)
+        terms = [
+            _ZTerm(weights[z], dbs[z], d2bs[z], *_cost_block(model, x, u, z, ns), a_mat, b_mat, vm)
+            for z in range(nz)
+        ]
+        expected = _assemble_q(terms, ns, nu)
+        got = _insegment_q(model, u, x, beta, z_dyn, vm)
+        for e, g in zip(expected, got):
+            np.testing.assert_allclose(g, e, rtol=1e-10, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Gains returned with the final tree
+
+
+@pytest.mark.parametrize("name", ["tmaze", "terrain", "lanechange"])
+def test_returned_gains_are_computed_on_the_returned_tree(name, request):
+    from poddp.cli import BENCH_BUDGET
+    from poddp.solver import BackwardFailureError
+
+    sc = request.getfixturevalue(f"{name}_scenario")
+    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, **BENCH_BUDGET)
+    result = solve(sc.model, sc.initial_state, sc.prior, config)
+    tree = result.tree
+    assert set(tree.value_models) == set(tree.controls)
+
+    # The final backward pass starts from the last logged lambda and raises
+    # it on failure.
+    lam = result.iterations[-1]["lambda"]
+    while True:
+        try:
+            gains, vms = backward_pass(sc.model, tree, lam)
+            break
+        except BackwardFailureError:
+            lam *= config.regularization_factor
+            assert lam <= config.regularization_max
+    assert set(tree.gains_open) == set(gains.open)
+    assert set(tree.gains_feedback) == set(gains.feedback)
+    for key, k in gains.open.items():
+        np.testing.assert_allclose(tree.gains_open[key], k, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            tree.gains_feedback[key], gains.feedback[key], rtol=1e-12, atol=1e-12
+        )
+    for h, vm in vms.items():
+        np.testing.assert_allclose(tree.value_models[h].v_s, vm.v_s, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Divergent line-search trials
+
+
+def _blow_up_model(limit: float, mode: str):
+    """x' = x + u, driven towards x = 5; a control beyond `limit` makes the
+    step go non-finite (`inf`, `nan`), overflow in the dynamics, or overflow
+    in the running cost. Analytic derivatives keep the backward pass on the
+    (finite) nominal points."""
+
+    def dynamics_mean(x, u, z):
+        if abs(u[0]) > limit:
+            if mode == "inf":
+                return np.array([math.inf])
+            if mode == "nan":
+                return np.array([math.nan])
+            if mode == "overflow":
+                return np.array([math.exp(1e4 * abs(u[0]))])
+        return x + u
+
+    def running_cost(x, u, z):
+        cost = float((x[0] - 5.0) ** 2 + 0.01 * u[0] ** 2)
+        if mode == "cost" and abs(u[0]) > limit:
+            cost += math.exp(1e4 * (abs(u[0]) - limit))
+        return cost
+
+    return ProblemModel(
+        state_dim=1,
+        control_dim=1,
+        obs_dim=1,
+        latents=LatentSet(("only",)),
+        dynamics_mean=dynamics_mean,
+        observation_mean=lambda x, z: np.zeros(1),
+        observation_noise=lambda x, z: np.ones(1),
+        running_cost=running_cost,
+        final_cost=lambda x, z: float((x[0] - 5.0) ** 2),
+        dt=1.0,
+        dynamics_jacobians=lambda x, u, z: (np.eye(1), np.eye(1)),
+        running_cost_derivatives=lambda x, u, z: (
+            2.0 * (x - 5.0),
+            0.02 * u,
+            2.0 * np.eye(1),
+            np.zeros((1, 1)),
+            0.02 * np.eye(1),
+        ),
+        final_cost_derivatives=lambda x, z: (2.0 * (x - 5.0), 2.0 * np.eye(1)),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    limit=st.floats(0.05, 2.0),
+    mode=st.sampled_from(["inf", "nan", "overflow", "cost"]),
+)
+def test_divergent_line_search_trials_are_rejected(limit, mode):
+    model = _blow_up_model(limit, mode)
+    config = SolverConfig(horizon=4, segments=1, max_iterations=4)
+    initial_cost = 4 * 25.0 + 25.0
+    result = solve(model, np.zeros(1), Belief(np.ones(1)), config)
+    assert math.isfinite(result.cost)
+    assert result.cost < initial_cost
+    assert np.isfinite(result.tree.xs[()]).all()
+    assert np.max(np.abs(result.tree.controls[()])) <= limit
