@@ -16,7 +16,7 @@ from .belief import (
     belief_from_logits,
     logits_from_belief,
 )
-from .model import DerivativeBundle, ProblemModel, derivative_bundle, numerical_jacobian
+from .model import ProblemModel, numerical_jacobian
 from .solver import (
     GainSchedule,
     SolveResult,
@@ -37,9 +37,7 @@ __all__ = [
     "bayes_update",
     "belief_from_logits",
     "logits_from_belief",
-    "DerivativeBundle",
     "ProblemModel",
-    "derivative_bundle",
     "numerical_jacobian",
     "GainSchedule",
     "SolveResult",

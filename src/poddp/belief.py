@@ -99,10 +99,6 @@ class BeliefState:
     def belief(self) -> Belief:
         return belief_from_logits(self.beta)
 
-    def as_vector(self) -> np.ndarray:
-        """Concatenated (x, beta) vector, state first."""
-        return np.concatenate([self.x, self.beta.beta])
-
 
 def softmax(beta: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max-subtraction)."""

@@ -142,12 +142,17 @@ def execute_episode(
             boundaries=tuple(np.cumsum(remaining_segments[:-1]).tolist()) or None,
             segments=len(remaining_segments),
         )
-        # Plans are pure functions of (x, b, schedule); share them across
-        # episodes so identical prefixes (always the initial solve) are
-        # planned once per batch.
+        # Plans are pure functions of (x, b, schedule, warm start); share
+        # them across episodes so identical prefixes (always the initial
+        # solve) are planned once per batch.
         cache_key = None
         if _plan_cache is not None:
-            cache_key = (x.tobytes(), b.probs.tobytes(), len(remaining_segments))
+            warm_key = None if warm is None else tuple(
+                (h, u.tobytes()) for h, u in sorted(warm.items())
+            )
+            cache_key = (
+                x.tobytes(), b.probs.tobytes(), len(remaining_segments), warm_key
+            )
             current = _plan_cache.get(cache_key)
             if current is None:
                 current = plan(planner, model, x, b, seg_cfg, u_init=warm)

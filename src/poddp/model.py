@@ -80,18 +80,12 @@ def symmetrize(h: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-@dataclass(frozen=True)
-class DerivativeBundle:
-    """All model derivatives at one (x, u, z) needed by the Q-expansion."""
-
-    f_x: np.ndarray
-    f_u: np.ndarray
-    g_x: np.ndarray
-    l_x: np.ndarray
-    l_u: np.ndarray
-    l_xx: np.ndarray
-    l_xu: np.ndarray
-    l_uu: np.ndarray
+def read_only(values) -> np.ndarray:
+    """A float array that cannot be written: a constant a scenario builds
+    once and returns from every derivative call."""
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -141,62 +135,49 @@ class ProblemModel:
         )
 
 
-def derivative_bundle(model: ProblemModel, x, u, z: int) -> DerivativeBundle:
-    """Assemble the dynamics, observation and cost derivatives at (x, u, z).
-
-    Analytic providers registered on the model take precedence; otherwise
-    central differences are used, with cost Hessians formed from differences
-    of gradients. Hessians are symmetrized.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-
+def dynamics_jacs(model: ProblemModel, x, u, z: int):
+    """(f_x, f_u) of the dynamics mean at (x, u, z)."""
     if model.dynamics_jacobians is not None:
         f_x, f_u = model.dynamics_jacobians(x, u, z)
-        f_x = np.asarray(f_x, dtype=float)
-        f_u = np.asarray(f_u, dtype=float)
-    else:
-        f_x = numerical_jacobian(lambda xx: model.dynamics_mean(xx, u, z), x)
-        f_u = numerical_jacobian(lambda uu: model.dynamics_mean(x, uu, z), u)
+        return np.asarray(f_x, dtype=float), np.asarray(f_u, dtype=float)
+    f_x = numerical_jacobian(lambda xx: model.dynamics_mean(xx, u, z), x)
+    f_u = numerical_jacobian(lambda uu: model.dynamics_mean(x, uu, z), u)
+    return f_x, f_u
 
+
+def observation_jac(model: ProblemModel, x, z: int) -> np.ndarray:
+    """Jacobian of the observation mean at (x, z)."""
     if model.observation_jacobian is not None:
-        g_x = np.asarray(model.observation_jacobian(x, z), dtype=float)
-    else:
-        g_x = numerical_jacobian(lambda xx: model.observation_mean(xx, z), x)
+        return np.asarray(model.observation_jacobian(x, z), dtype=float)
+    return numerical_jacobian(lambda xx: model.observation_mean(xx, z), x)
 
+
+def running_cost_derivs(model: ProblemModel, x, u, z: int):
+    """(l_x, l_u, l_xx, l_xu, l_uu) of the running cost at (x, u, z).
+
+    Analytic Hessians are returned as the scenario builds them; the
+    finite-difference fallback forms them from differences of gradients
+    and symmetrizes them.
+    """
     if model.running_cost_derivatives is not None:
-        l_x, l_u, l_xx, l_xu, l_uu = model.running_cost_derivatives(x, u, z)
-        l_x = np.asarray(l_x, dtype=float)
-        l_u = np.asarray(l_u, dtype=float)
-        l_xx = symmetrize(np.asarray(l_xx, dtype=float))
-        l_xu = np.asarray(l_xu, dtype=float)
-        l_uu = symmetrize(np.asarray(l_uu, dtype=float))
-    else:
-        grad_x = lambda xx, uu: numerical_gradient(
-            lambda p: model.running_cost(p, uu, z), xx
+        return tuple(
+            np.asarray(d, dtype=float) for d in model.running_cost_derivatives(x, u, z)
         )
-        grad_u = lambda xx, uu: numerical_gradient(
-            lambda p: model.running_cost(xx, p, z), uu
-        )
-        l_x = grad_x(x, u)
-        l_u = grad_u(x, u)
-        l_xx = symmetrize(
-            numerical_jacobian(lambda xx: grad_x(xx, u), x, FD_HESS_REL_STEP)
-        )
-        l_xu = numerical_jacobian(lambda uu: grad_x(x, uu), u, FD_HESS_REL_STEP)
-        l_uu = symmetrize(
-            numerical_jacobian(lambda uu: grad_u(x, uu), u, FD_HESS_REL_STEP)
-        )
-
-    return DerivativeBundle(f_x, f_u, g_x, l_x, l_u, l_xx, l_xu, l_uu)
+    grad_x = lambda xx, uu: numerical_gradient(lambda p: model.running_cost(p, uu, z), xx)
+    grad_u = lambda xx, uu: numerical_gradient(lambda p: model.running_cost(xx, p, z), uu)
+    l_xx = numerical_jacobian(lambda xx: grad_x(xx, u), x, FD_HESS_REL_STEP)
+    l_xu = numerical_jacobian(lambda uu: grad_x(x, uu), u, FD_HESS_REL_STEP)
+    l_uu = numerical_jacobian(lambda uu: grad_u(x, uu), u, FD_HESS_REL_STEP)
+    return grad_x(x, u), grad_u(x, u), symmetrize(l_xx), l_xu, symmetrize(l_uu)
 
 
 def final_cost_derivs(model: ProblemModel, x, z: int):
-    """(gradient, symmetrized Hessian) of the final cost at (x, z)."""
+    """(gradient, Hessian) of the final cost at (x, z); a finite-difference
+    Hessian is symmetrized."""
     x = np.asarray(x, dtype=float)
     if model.final_cost_derivatives is not None:
         lf_x, lf_xx = model.final_cost_derivatives(x, z)
-        return np.asarray(lf_x, dtype=float), symmetrize(np.asarray(lf_xx, dtype=float))
+        return np.asarray(lf_x, dtype=float), np.asarray(lf_xx, dtype=float)
     grad = lambda xx: numerical_gradient(lambda p: model.final_cost(p, z), xx)
     return grad(x), symmetrize(numerical_jacobian(grad, x, FD_HESS_REL_STEP))
 

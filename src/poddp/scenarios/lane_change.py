@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..belief import Belief, LatentSet
-from ..model import ProblemModel
+from ..model import ProblemModel, read_only
 from .idm import IDMParams, idm_accel_with_partials
 from .vehicle import (
     ACCEL,
@@ -196,6 +196,12 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
     ax = 1.0 / cfg.collision_lon_scale ** 2
     ay = 1.0 / cfg.collision_lat_scale ** 2
 
+    h_exp = np.zeros((STATE_DIM, STATE_DIM))  # Hessian of the exponent
+    h_exp[PX, PX] = h_exp[LON_O, LON_O] = -2.0 * ax
+    h_exp[PX, LON_O] = h_exp[LON_O, PX] = 2.0 * ax
+    h_exp[PY, PY] = -2.0 * ay
+    h_exp = read_only(h_exp)
+
     def _collision_value(x):
         """Gaussian-bump proximity penalty."""
         dx = x[PX] - x[LON_O]
@@ -211,10 +217,6 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
         g_exp[PX] = -2.0 * dx * ax
         g_exp[PY] = -2.0 * dy * ay
         g_exp[LON_O] = 2.0 * dx * ax
-        h_exp = np.zeros((STATE_DIM, STATE_DIM))
-        h_exp[PX, PX] = h_exp[LON_O, LON_O] = -2.0 * ax
-        h_exp[PX, LON_O] = h_exp[LON_O, PX] = 2.0 * ax
-        h_exp[PY, PY] = -2.0 * ay
         grad = c * g_exp
         hess = c * (np.outer(g_exp, g_exp) + h_exp)
         return c, grad, hess
@@ -248,16 +250,17 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
             + c
         )
 
+    l_xu = read_only(np.zeros((STATE_DIM, 2)))
+    l_uu = read_only(np.diag([2.0 * cfg.steer_weight, 2.0 * cfg.accel_weight]))
+
     def running_cost_derivatives(x, u, z):
-        _, c_g, c_h = _collision(x)
+        _, l_x, l_xx = _collision(x)
         w, w1, w2 = _lane_urgency(x[PX])
         e = x[PY] - cfg.lane_y
-        l_x = c_g.copy()
         l_x[PX] += w1 * e * e
         l_x[PY] += 2.0 * w * e
         l_x[TH] += 2.0 * cfg.heading_weight * x[TH]
         l_x[V] += 2.0 * cfg.speed_weight * (x[V] - cfg.desired_speed)
-        l_xx = c_h.copy()
         l_xx[PX, PX] += w2 * e * e
         l_xx[PX, PY] += 2.0 * w1 * e
         l_xx[PY, PX] += 2.0 * w1 * e
@@ -267,8 +270,7 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
         l_u = np.array(
             [2.0 * cfg.steer_weight * u[STEER], 2.0 * cfg.accel_weight * u[ACCEL]]
         )
-        l_uu = np.diag([2.0 * cfg.steer_weight, 2.0 * cfg.accel_weight])
-        return l_x, l_u, l_xx, np.zeros((STATE_DIM, 2)), l_uu
+        return l_x, l_u, l_xx, l_xu, l_uu
 
     def final_cost(x, z):
         c = _collision_value(x)
@@ -279,11 +281,9 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
         )
 
     def final_cost_derivatives(x, z):
-        _, c_g, c_h = _collision(x)
-        lf_x = c_g.copy()
+        _, lf_x, lf_xx = _collision(x)
         lf_x[PY] += 2.0 * cfg.lane_weight_final * (x[PY] - cfg.lane_y)
         lf_x[TH] += 2.0 * cfg.heading_weight * x[TH]
-        lf_xx = c_h.copy()
         lf_xx[PY, PY] += 2.0 * cfg.lane_weight_final
         lf_xx[TH, TH] += 2.0 * cfg.heading_weight
         return lf_x, lf_xx

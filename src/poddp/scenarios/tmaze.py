@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..belief import Belief, LatentSet
-from ..model import ProblemModel
+from ..model import ProblemModel, read_only
 from .vehicle import (
     ACCEL,
     PX,
@@ -191,20 +191,25 @@ def build(cfg: TMazeConfig) -> ProblemModel:
             + cfg.accel_weight * u[ACCEL] ** 2
         )
 
+    l_xx_quadratic = np.zeros((4, 4))
+    l_xx_quadratic[:2, :2] = 2.0 * cfg.goal_weight_running * np.eye(2)
+    l_xx_quadratic[V, V] = 2.0 * cfg.speed_weight
+    l_xx_quadratic = read_only(l_xx_quadratic)
+    l_xu = read_only(np.zeros((4, 2)))
+    l_uu = read_only(np.diag([2.0 * cfg.steer_weight, 2.0 * cfg.accel_weight]))
+
     def running_cost_derivatives(x, u, z):
         d = x[:2] - goals[z]
         _, wall_g, wall_h = _wall_cost(cfg, x[PX], x[PY])
         l_x = np.zeros(4)
         l_x[:2] = 2.0 * cfg.goal_weight_running * d + wall_g
         l_x[V] = 2.0 * cfg.speed_weight * (x[V] - cfg.desired_speed)
-        l_xx = np.zeros((4, 4))
-        l_xx[:2, :2] = 2.0 * cfg.goal_weight_running * np.eye(2) + wall_h
-        l_xx[V, V] = 2.0 * cfg.speed_weight
+        l_xx = l_xx_quadratic.copy()
+        l_xx[:2, :2] += wall_h
         l_u = np.array(
             [2.0 * cfg.steer_weight * u[STEER], 2.0 * cfg.accel_weight * u[ACCEL]]
         )
-        l_uu = np.diag([2.0 * cfg.steer_weight, 2.0 * cfg.accel_weight])
-        return l_x, l_u, l_xx, np.zeros((4, 2)), l_uu
+        return l_x, l_u, l_xx, l_xu, l_uu
 
     def final_cost(x, z):
         gx, gy = goal_xy[z]
@@ -212,12 +217,13 @@ def build(cfg: TMazeConfig) -> ProblemModel:
         dy = x[PY] - gy
         return cfg.goal_weight_final * (dx * dx + dy * dy)
 
+    lf_xx = np.zeros((4, 4))
+    lf_xx[:2, :2] = 2.0 * cfg.goal_weight_final * np.eye(2)
+    lf_xx = read_only(lf_xx)
+
     def final_cost_derivatives(x, z):
-        d = x[:2] - goals[z]
         lf_x = np.zeros(4)
-        lf_x[:2] = 2.0 * cfg.goal_weight_final * d
-        lf_xx = np.zeros((4, 4))
-        lf_xx[:2, :2] = 2.0 * cfg.goal_weight_final * np.eye(2)
+        lf_x[:2] = 2.0 * cfg.goal_weight_final * (x[:2] - goals[z])
         return lf_x, lf_xx
 
     return ProblemModel(

@@ -18,20 +18,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .belief import (
+    BELIEF_FLOOR,
     Belief,
-    BeliefLogits,
-    BeliefState,
     bayes_update,
     floor_probs,
     softmax,
-    softmax_hessian,
-    softmax_jacobian,
 )
 from .model import (
     ProblemModel,
+    dynamics_jacs,
     final_cost_derivs,
     numerical_jacobian,
-    symmetrize,
+    observation_jac,
+    running_cost_derivs,
 )
 from .tree import (
     HistoryPath,
@@ -191,277 +190,261 @@ def evaluate_tree_cost(model: ProblemModel, tree: TrajectoryTree) -> float:
 
 # ---------------------------------------------------------------------------
 # Backward pass
+#
+# Every step is expanded over z = (x, beta, u), where s = (x, beta) is the
+# belief state: a Q-function quadratic in (delta s, delta u), whose blocks
+# feed `_solve_gains`.
 
 
-def _running_cost_derivs(model: ProblemModel, x, u, z: int):
-    if model.running_cost_derivatives is not None:
-        l_x, l_u, l_xx, l_xu, l_uu = model.running_cost_derivatives(x, u, z)
-        return (
-            np.asarray(l_x, float),
-            np.asarray(l_u, float),
-            symmetrize(np.asarray(l_xx, float)),
-            np.asarray(l_xu, float),
-            symmetrize(np.asarray(l_uu, float)),
-        )
-    from .model import FD_HESS_REL_STEP, numerical_gradient
-
-    grad_x = lambda xx, uu: numerical_gradient(lambda p: model.running_cost(p, uu, z), xx)
-    grad_u = lambda xx, uu: numerical_gradient(lambda p: model.running_cost(xx, p, z), uu)
-    l_x = grad_x(x, u)
-    l_u = grad_u(x, u)
-    l_xx = symmetrize(numerical_jacobian(lambda xx: grad_x(xx, u), x, FD_HESS_REL_STEP))
-    l_xu = numerical_jacobian(lambda uu: grad_x(x, uu), u, FD_HESS_REL_STEP)
-    l_uu = symmetrize(numerical_jacobian(lambda uu: grad_u(x, uu), u, FD_HESS_REL_STEP))
-    return l_x, l_u, l_xx, l_xu, l_uu
-
-
-def _dynamics_jacs(model: ProblemModel, x, u, z: int):
-    if model.dynamics_jacobians is not None:
-        f_x, f_u = model.dynamics_jacobians(x, u, z)
-        return np.asarray(f_x, float), np.asarray(f_u, float)
-    f_x = numerical_jacobian(lambda xx: model.dynamics_mean(xx, u, z), x)
-    f_u = numerical_jacobian(lambda uu: model.dynamics_mean(x, uu, z), u)
-    return f_x, f_u
+def _softmax_terms(beta: np.ndarray):
+    """p = softmax(beta), dp/dbeta and the Hessians d^2 p_w/dbeta^2 stacked
+    over w (the Hessian of p_w is p_w (d_w d_w^T - dp/dbeta), d_w = e_w - p)."""
+    p = softmax(beta)
+    jac = np.diag(p) - np.outer(p, p)
+    dev = np.eye(p.size) - p
+    hess = p[:, None, None] * (dev[:, :, None] * dev[:, None, :] - jac)
+    return p, jac, hess
 
 
 def terminal_value_model(model: ProblemModel, x, beta) -> QuadraticValueModel:
-    """Quadratic model of the expected final cost over (x, beta)."""
-    nz = model.num_latents
-    n = model.state_dim
-    ns = n + nz
-    p = softmax(beta)
-    jac = softmax_jacobian(beta)
+    """Quadratic model over (x, beta) of the expected final cost
+    sum_w p_w lf_w(x), with p = softmax(beta)."""
+    n, nz = model.state_dim, model.num_latents
+    p, jac, hess = _softmax_terms(beta)
     lf = np.array([model.final_cost(x, z) for z in range(nz)])
-    v_s = np.zeros(ns)
-    v_ss = np.zeros((ns, ns))
-    v_s[n:] = jac @ lf
-    for z in range(nz):
-        lf_x, lf_xx = final_cost_derivs(model, x, z)
-        v_s[:n] += p[z] * lf_x
-        v_ss[:n, :n] += p[z] * lf_xx
-        v_ss[:n, n:] += np.outer(lf_x, jac[z])
-        v_ss[n:, n:] += lf[z] * softmax_hessian(beta, z)
+    lf_x, lf_xx = (
+        np.array(d) for d in zip(*(final_cost_derivs(model, x, z) for z in range(nz)))
+    )
+    v_ss = np.empty((n + nz, n + nz))
+    v_ss[:n, :n] = np.einsum("w,wab->ab", p, lf_xx)
+    v_ss[:n, n:] = lf_x.T @ jac
     v_ss[n:, :n] = v_ss[:n, n:].T
-    return QuadraticValueModel(dv=0.0, v_s=v_s, v_ss=symmetrize(v_ss), cost_to_go=float(p @ lf))
+    v_ss[n:, n:] = np.einsum("w,wab->ab", lf, hess)
+    v_s = np.concatenate([p @ lf_x, jac @ lf])
+    return QuadraticValueModel(dv=0.0, v_s=v_s, v_ss=v_ss, cost_to_go=float(p @ lf))
 
 
-def _branch_chain(model: ProblemModel, z: int):
-    """Successor map s' = (x', log b') through dynamics, observation and
-    belief update, for latent branch z."""
-    n = model.state_dim
+def _cost_expansion(model: ProblemModel, xs, us, beta):
+    """Belief-weighted running cost sum_w p_w l_w(x, u) of every step of a
+    segment, expanded over z = (x, beta, u) with p = softmax(beta).
 
-    def chain(s: np.ndarray, u: np.ndarray) -> np.ndarray:
-        x, beta = s[:n], s[n:]
-        b = Belief(softmax(beta))
-        x_next = np.asarray(model.dynamics_mean(x, u, z), dtype=float)
-        o_next = model.observation_mean(x_next, z)
-        b_next = bayes_update(o_next, x_next, u, x, b, model)
-        return np.concatenate([x_next, np.log(b_next.probs)])
+    Returns the levels (m,), gradients (m, d) and Hessians (m, d, d), stacked
+    over the segment's m = len(us) steps. The segment's steps share their
+    logits, so p and its derivatives are formed once.
+    """
+    n, nz, nu = model.state_dim, model.num_latents, model.control_dim
+    ns = n + nz
+    m = us.shape[0]
+    p, jac, hess = _softmax_terms(beta)
+    points = [(xs[j], us[j], z) for j in range(m) for z in range(nz)]
+    level = np.array([model.running_cost(*pt) for pt in points]).reshape(m, nz)
+    derivs = [running_cost_derivs(model, *pt) for pt in points]
+    l_x, l_u, l_xx, l_xu, l_uu = (
+        np.array([d[i] for d in derivs]).reshape((m, nz) + derivs[0][i].shape)
+        for i in range(5)
+    )
+    x_, b_, u_ = slice(0, n), slice(n, ns), slice(ns, ns + nu)
+    g = np.empty((m, ns + nu))
+    g[:, x_] = np.einsum("w,jwa->ja", p, l_x)
+    g[:, b_] = level @ jac
+    g[:, u_] = np.einsum("w,jwa->ja", p, l_u)
+    h = np.empty((m, ns + nu, ns + nu))
+    h[:, x_, x_] = np.einsum("w,jwab->jab", p, l_xx)
+    h[:, x_, b_] = np.einsum("jwa,wb->jab", l_x, jac)
+    h[:, x_, u_] = np.einsum("w,jwab->jab", p, l_xu)
+    h[:, b_, b_] = np.einsum("jw,wab->jab", level, hess)
+    h[:, b_, u_] = np.einsum("wa,jwb->jab", jac, l_u)
+    h[:, u_, u_] = np.einsum("w,jwab->jab", p, l_uu)
+    for rows, cols in ((b_, x_), (u_, x_), (u_, b_)):
+        h[:, rows, cols] = h[:, cols, rows].transpose(0, 2, 1)
+    return level @ p, g, h
 
-    return chain
+
+def _insegment_jacobians(model: ProblemModel, xs, us, z: int) -> np.ndarray:
+    """d(x', beta')/d(x, beta, u) = [[f_x, 0, f_u], [0, I, 0]] of every
+    in-segment step: dynamics conditioned on latent z, logits carried over."""
+    n, nz = model.state_dim, model.num_latents
+    ns = n + nz
+    jacs = np.zeros((us.shape[0], ns, ns + model.control_dim))
+    jacs[:, n:, n:ns] = np.eye(nz)
+    for j in range(us.shape[0]):
+        jacs[j, :n, :n], jacs[j, :n, ns:] = dynamics_jacs(model, xs[j], us[j], z)
+    return jacs
 
 
-@dataclass(frozen=True)
-class _ZTerm:
-    """Per-latent ingredients of the Q-expansion at one step."""
-
-    weight: float  # b_z
-    db: np.ndarray  # d b_z / d(delta s)
-    d2b: np.ndarray  # d^2 b_z / d(delta s)^2
-    cost: float  # l_z
-    l_s: np.ndarray
-    l_u: np.ndarray
-    l_ss: np.ndarray
-    l_su: np.ndarray
-    l_uu: np.ndarray
-    a_mat: np.ndarray  # d s'_z / d(delta s)
-    b_mat: np.ndarray  # d s'_z / d(delta u)
-    value: QuadraticValueModel  # model at the successor s'_z
+def _cov_matrix(cov, dim: int) -> np.ndarray:
+    """A scalar, per-dimension or full covariance as a full matrix."""
+    c = np.asarray(cov, dtype=float)
+    if c.ndim <= 1:
+        return np.diag(np.broadcast_to(c, (dim,)))
+    return c
 
 
-def _assemble_q(terms: Sequence[_ZTerm], ns: int, nu: int):
-    q0 = 0.0
-    q_s = np.zeros(ns)
-    q_u = np.zeros(nu)
-    q_ss = np.zeros((ns, ns))
-    q_su = np.zeros((ns, nu))
-    q_uu = np.zeros((nu, nu))
-    dv_children = 0.0
-    for t in terms:
-        vs = t.value.v_s
-        vss = t.value.v_ss
-        level = t.cost + t.value.cost_to_go
-        w_s = t.l_s + t.a_mat.T @ vs
-        w_u = t.l_u + t.b_mat.T @ vs
-        q0 += t.weight * level
-        q_s += t.db * level + t.weight * w_s
-        q_u += t.weight * w_u
-        q_ss += (
-            t.d2b * level
-            + np.outer(t.db, w_s)
-            + np.outer(w_s, t.db)
-            + t.weight * (t.l_ss + t.a_mat.T @ vss @ t.a_mat)
+def _branch_jacobians(model: ProblemModel, x, beta, u, z: int):
+    """Successor s'_z = (x'_z, beta'_z) of branch z and its Jacobian
+    d s'_z / d(x, beta, u), by the chain rule through dynamics, observation
+    and Bayes update.
+
+    x'_z = f(x, u, z) is observed as o_z = h(x'_z, z), and
+    beta'_z = log floor(softmax(beta + L)), where L_w is the Gaussian
+    log-likelihood of (o_z, x'_z) under hypothesis w, as in `bayes_update`
+    (its constant terms cancel in the softmax and are left out). No callback
+    gives the derivative of the observation covariance, so it is differenced.
+    """
+    n, nz, nu = model.state_dim, model.num_latents, model.control_dim
+    ns = n + nz
+    x_next = np.asarray(model.dynamics_mean(x, u, z), dtype=float)
+    f_x, f_u = dynamics_jacs(model, x, u, z)
+    dx_next = np.hstack([f_x, f_u])  # d x'_z / d(x, u)
+    o = np.atleast_1d(np.asarray(model.observation_mean(x_next, z), dtype=float))
+    k = o.size
+    h_z = observation_jac(model, x_next, z)
+    noise = [np.asarray(model.observation_noise(x_next, w), dtype=float) for w in range(nz)]
+    d_noise = numerical_jacobian(
+        lambda xn: np.concatenate(
+            [np.ravel(model.observation_noise(xn, w)) for w in range(nz)]
+        ),
+        x_next,
+    )
+    ends = np.cumsum([c.size for c in noise])
+
+    loglik = np.empty(nz)
+    d_loglik = np.empty((nz, n + nu))  # d L_w / d(x, u)
+    for w in range(nz):
+        r = o - np.atleast_1d(model.observation_mean(x_next, w))
+        cov = _cov_matrix(noise[w], k)
+        d_w = d_noise[ends[w] - noise[w].size : ends[w]]
+        if noise[w].ndim == 2:
+            d_cov = d_w.reshape(k, k, n)
+        else:  # d_cov[i, j] = delta_ij d(variance_i)
+            d_cov = np.eye(k)[:, :, None] * d_w[:, None, :]
+        cov_inv = np.linalg.inv(cov)
+        a = cov_inv @ r
+        loglik[w] = -0.5 * (r @ a + np.linalg.slogdet(cov)[1])
+        d_next = (
+            -a @ (h_z - observation_jac(model, x_next, w))
+            + 0.5 * np.einsum("i,ijc,j->c", a, d_cov, a)
+            - 0.5 * np.einsum("ij,jic->c", cov_inv, d_cov)
         )
-        q_su += np.outer(t.db, w_u) + t.weight * (t.l_su + t.a_mat.T @ vss @ t.b_mat)
-        q_uu += t.weight * (t.l_uu + t.b_mat.T @ vss @ t.b_mat)
-        dv_children += t.weight * t.value.dv
-    return q0, q_s, q_u, symmetrize(q_ss), q_su, symmetrize(q_uu), dv_children
+        d_loglik[w] = d_next @ dx_next
+        dyn_cov = model.dynamics_noise_for(w)
+        if dyn_cov is not None:
+            d = x_next - np.asarray(model.dynamics_mean(x, u, w), dtype=float)
+            cov = _cov_matrix(dyn_cov, n)
+            a = np.linalg.solve(cov, d)
+            loglik[w] -= 0.5 * (d @ a + np.linalg.slogdet(cov)[1])
+            d_loglik[w] -= a @ (dx_next - np.hstack(dynamics_jacs(model, x, u, w)))
+
+    post = softmax(beta + loglik)
+    # floor_probs clamps entries below the floor, which then stop moving.
+    active = post > BELIEF_FLOOR
+    total = np.maximum(post, BELIEF_FLOOR).sum()
+    d_joint = np.empty((nz, ns + nu))  # d(beta + L) / d(x, beta, u)
+    d_joint[:, :n] = d_loglik[:, :n]
+    d_joint[:, n:ns] = np.eye(nz)
+    d_joint[:, ns:] = d_loglik[:, n:]
+    d_log_post = d_joint - post @ d_joint
+    jac = np.zeros((ns, ns + nu))
+    jac[:n, :n] = f_x
+    jac[:n, ns:] = f_u
+    jac[n:] = active[:, None] * d_log_post - ((active * post) @ d_log_post) / total
+    return np.concatenate([x_next, np.log(floor_probs(post))]), jac
 
 
-def _solve_gains(q0, q_s, q_u, q_ss, q_su, q_uu, dv_children, lam):
-    nu = q_u.size
-    q_uu_reg = q_uu + lam * np.eye(nu)
+def _expected_q(cost, beta, jacs, value_models):
+    """Q-expansion over z = (x, beta, u) of a step whose branch w, weighted
+    by b_w = softmax(beta)_w, moves to a successor with Jacobian F_w = jacs[w]
+    and value model V_w = value_models[w]:
+
+        Q = C + sum_w [b_w F_w^T V_w F_w + V_w^0 d2b_w
+                       + db_w (x) F_w^T v_w + F_w^T v_w (x) db_w],
+
+    with (c0, c, C) = `cost` the step's `_cost_expansion` and V_w^0 the
+    successor's cost-to-go. Returns (q0, q, Q, expected child dv).
+    """
+    c0, c, big_c = cost
+    ns = jacs[0].shape[0]
+    n = ns - beta.size
+    p, jac, hess = _softmax_terms(beta)
+    ctg = np.array([vm.cost_to_go for vm in value_models])
+    succ_grads = np.array([f.T @ vm.v_s for f, vm in zip(jacs, value_models)])
+    q = c + p @ succ_grads
+    q[n:ns] += jac @ ctg
+    big_q = big_c + sum(
+        p_w * (f.T @ vm.v_ss @ f) for p_w, f, vm in zip(p, jacs, value_models)
+    )
+    cross = jac @ succ_grads  # rows beta: sum_w db_w (x) F_w^T v_w
+    big_q[n:ns] += cross
+    big_q[:, n:ns] += cross.T
+    big_q[n:ns, n:ns] += np.einsum("w,wab->ab", ctg, hess)
+    dv = float(p @ np.array([vm.dv for vm in value_models]))
+    return c0 + float(p @ ctg), q, big_q, dv
+
+
+def _solve_gains(q0, q, big_q, dv_next, ns: int, lam: float):
+    """Control update of one step from its Q-expansion over (s, u), s the
+    first `ns` coordinates.
+
+    Q is symmetrized, and Q_uu + lam I factored by Cholesky (failure raises
+    `BackwardFailureError`). With k = -Q_uu^-1 q_u and K = -Q_uu^-1 Q_us on
+    that regularized Q_uu, the value model is v_s = q_s + Q_su k,
+    v_ss = Q_ss + Q_su K and dv = k^T q_u / 2 plus the successors' dv.
+    """
+    big_q = 0.5 * (big_q + big_q.T)
+    nu = q.size - ns
     try:
-        chol = np.linalg.cholesky(q_uu_reg)
+        chol = np.linalg.cholesky(big_q[ns:, ns:] + lam * np.eye(nu))
     except np.linalg.LinAlgError:
         raise BackwardFailureError("Q_uu not positive definite")
-    rhs = np.column_stack([q_u, q_su.T])
-    sol = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-    k = -sol[:, 0]
-    gain = -sol[:, 1:].reshape(nu, -1)
-    dv = -0.5 * float(k @ q_uu_reg @ k)
-    v_s = q_s + gain.T @ q_uu_reg @ k + gain.T @ q_u + q_su @ k
-    v_ss = q_ss + gain.T @ q_uu_reg @ gain + gain.T @ q_su.T + q_su @ gain
-    return k, gain, QuadraticValueModel(
-        dv=dv + dv_children, v_s=v_s, v_ss=symmetrize(v_ss), cost_to_go=q0
-    )
-
-
-def _belief_terms(beta: np.ndarray, n: int):
-    """(weights, d b_z/d delta s, d^2 b_z/d delta s^2) for each latent z."""
-    nz = beta.size
-    ns = n + nz
-    p = softmax(beta)
-    jac = softmax_jacobian(beta)
-    dbs = []
-    d2bs = []
-    for z in range(nz):
-        db = np.zeros(ns)
-        db[n:] = jac[z]
-        d2b = np.zeros((ns, ns))
-        d2b[n:, n:] = softmax_hessian(beta, z)
-        dbs.append(db)
-        d2bs.append(d2b)
-    return p, dbs, d2bs
-
-
-def _cost_block(model: ProblemModel, x, u, z: int, ns: int):
-    n = model.state_dim
-    nu = model.control_dim
-    l_x, l_u, l_xx, l_xu, l_uu = _running_cost_derivs(model, x, u, z)
-    l_s = np.zeros(ns)
-    l_s[:n] = l_x
-    l_ss = np.zeros((ns, ns))
-    l_ss[:n, :n] = l_xx
-    l_su = np.zeros((ns, nu))
-    l_su[:n, :] = l_xu
-    cost = float(model.running_cost(x, u, z))
-    return cost, l_s, l_u, l_ss, l_su, l_uu
+    chol_inv = np.linalg.inv(chol)
+    half_k = chol_inv @ q[ns:]  # L^-1 q_u
+    half_gain = chol_inv @ big_q[ns:, :ns]  # L^-1 Q_us
+    k = -chol_inv.T @ half_k
+    gain = -chol_inv.T @ half_gain
+    v_s = q[:ns] + big_q[:ns, ns:] @ k
+    # Q_su K = -(L^-1 Q_us)^T (L^-1 Q_us), which keeps v_ss symmetric.
+    v_ss = big_q[:ns, :ns] - half_gain.T @ half_gain
+    dv = 0.5 * float(k @ q[ns:]) + dv_next
+    return k, gain, QuadraticValueModel(dv=dv, v_s=v_s, v_ss=v_ss, cost_to_go=float(q0))
 
 
 def optimize_control(
     model: ProblemModel,
-    u,
-    s: BeliefState,
-    child_value_models: Optional[Sequence[QuadraticValueModel]],
-    b: Belief,
-    lam: float = 0.0,
-):
-    """Branch-step control update: belief-weighted Q-expansion through the
-    per-latent successor chains (dynamics -> observation -> belief update).
-
-    With `child_value_models` absent (terminal segment), the successor value
-    of each branch is the expected final cost quadraticized at the
-    maximum-likelihood successor. Returns (k, K, value model at s).
-    """
-    n = model.state_dim
-    nz = model.num_latents
-    ns = n + nz
-    x = np.asarray(s.x, dtype=float)
-    beta = np.asarray(s.beta.beta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    s_vec = np.concatenate([x, beta])
-    weights, dbs, d2bs = _belief_terms(beta, n)
-
-    terms = []
-    for z in range(nz):
-        chain = _branch_chain(model, z)
-        a_mat = numerical_jacobian(lambda sv: chain(sv, u), s_vec)
-        b_mat = numerical_jacobian(lambda uv: chain(s_vec, uv), u)
-        if child_value_models is not None:
-            vm = child_value_models[z]
-        else:
-            succ = chain(s_vec, u)
-            vm = terminal_value_model(model, succ[:n], succ[n:])
-        cost, l_s, l_u, l_ss, l_su, l_uu = _cost_block(model, x, u, z, ns)
-        terms.append(
-            _ZTerm(weights[z], dbs[z], d2bs[z], cost, l_s, l_u, l_ss, l_su, l_uu, a_mat, b_mat, vm)
-        )
-    return _solve_gains(*_assemble_q(terms, ns, model.control_dim), lam)
-
-
-def _insegment_q(model: ProblemModel, u, x, beta, z_dyn: int, next_vm: QuadraticValueModel):
-    """Q-expansion of one in-segment step, block-wise over (x, beta).
-
-    The successor (f(x, u), beta) and its value model are shared by every
-    latent, so only the belief-weighted running costs are summed per latent.
-    Because the weights b_z sum to one, their derivatives sum to zero, and
-    the value-level and value-gradient terms of the per-latent expansion
-    cancel exactly; they are left out rather than summed to zero.
-    """
-    n = model.state_dim
-    nz = model.num_latents
-    nu = model.control_dim
-    f_x, f_u = _dynamics_jacs(model, x, u, z_dyn)
-    p = softmax(beta)
-    jac = np.diag(p) - np.outer(p, p)  # softmax_jacobian(beta)
-    costs = np.empty(nz)
-    l_x = np.empty((nz, n))
-    l_u = np.empty((nz, nu))
-    l_xx = np.zeros((n, n))
-    l_xu = np.zeros((n, nu))
-    l_uu = np.zeros((nu, nu))
-    for z in range(nz):
-        l_x[z], l_u[z], lz_xx, lz_xu, lz_uu = _running_cost_derivs(model, x, u, z)
-        costs[z] = model.running_cost(x, u, z)
-        l_xx += p[z] * lz_xx
-        l_xu += p[z] * lz_xu
-        l_uu += p[z] * lz_uu
-    # sum_z costs[z] * softmax_hessian(beta, z) in closed form: the Hessian
-    # of p_z is p_z (d_z d_z^T - jac) with d_z = e_z - p.
-    dev = np.eye(nz) - p
-    l_bb = dev.T @ ((costs * p)[:, None] * dev) - float(costs @ p) * jac
-
-    v_s, v_ss = next_vm.v_s, next_vm.v_ss
-    v_x, v_b = v_s[:n], v_s[n:]
-    v_xx, v_xb = v_ss[:n, :n], v_ss[:n, n:]
-    fx_vxx = f_x.T @ v_xx
-    q_s = np.concatenate([p @ l_x + f_x.T @ v_x, costs @ jac + v_b])
-    q_u = p @ l_u + f_u.T @ v_x
-    q_ss = np.empty((n + nz, n + nz))
-    q_ss[:n, :n] = l_xx + fx_vxx @ f_x
-    q_ss[:n, n:] = l_x.T @ jac + f_x.T @ v_xb
-    q_ss[n:, :n] = q_ss[:n, n:].T
-    q_ss[n:, n:] = l_bb + v_ss[n:, n:]
-    q_su = np.concatenate([l_xu + fx_vxx @ f_u, jac.T @ l_u + v_xb.T @ f_u])
-    q_uu = l_uu + f_u.T @ v_xx @ f_u
-    q0 = float(p @ costs) + next_vm.cost_to_go
-    return q0, q_s, q_u, symmetrize(q_ss), q_su, symmetrize(q_uu), next_vm.dv
-
-
-def _insegment_step(
-    model: ProblemModel,
-    u,
     x,
     beta,
-    z_dyn: int,
-    next_vm: QuadraticValueModel,
+    u,
+    cost,
+    child_value_models: Optional[Sequence[QuadraticValueModel]],
     lam: float,
 ):
-    """One standard DDP step over the augmented state within a segment: the
-    belief logits are carried unchanged and the successor is shared by all
-    latent hypotheses (dynamics conditioned on the node's branch)."""
-    return _solve_gains(*_insegment_q(model, u, x, beta, z_dyn, next_vm), lam)
+    """Branch-step control update: the belief-weighted Q-expansion through
+    the per-latent successors (dynamics -> observation -> belief update),
+    linearized by `_branch_jacobians`.
+
+    `cost` is the step's `_cost_expansion`. With `child_value_models`
+    absent, the successor value of each branch is the expected final cost
+    quadraticized at its successor. Returns (k, K, value model at s).
+    """
+    n = model.state_dim
+    succs, jacs = zip(
+        *(_branch_jacobians(model, x, beta, u, z) for z in range(model.num_latents))
+    )
+    if child_value_models is None:
+        child_value_models = [terminal_value_model(model, s[:n], s[n:]) for s in succs]
+    q_terms = _expected_q(cost, beta, jacs, child_value_models)
+    return _solve_gains(*q_terms, n + model.num_latents, lam)
+
+
+def _insegment_step(cost, jac, next_vm: QuadraticValueModel, lam: float):
+    """One DDP step within a segment: the successor (f(x, u), beta), with
+    Jacobian `jac`, and its value model are shared by every latent, so
+    q = c + F^T v' and Q = C + F^T V' F (`_expected_q` with one successor)."""
+    c0, c, big_c = cost
+    q = c + jac.T @ next_vm.v_s
+    big_q = big_c + jac.T @ next_vm.v_ss @ jac
+    return _solve_gains(
+        c0 + next_vm.cost_to_go, q, big_q, next_vm.dv, jac.shape[0], lam
+    )
 
 
 def backward_pass(
@@ -473,35 +456,36 @@ def backward_pass(
 
     Children are processed first; their value models combine through the
     belief-weighted expansion at the parent's branch step, then the standard
-    per-step recursion runs back through the segment. Raises
-    `BackwardFailureError` when Q_uu cannot be made positive definite at the
-    given regularization (the caller raises lambda and retries).
+    per-step recursion runs back through the segment. The running-cost
+    expansions and dynamics Jacobians of a node's steps are formed together
+    before its recursion. Raises `BackwardFailureError` when Q_uu cannot be
+    made positive definite at the given regularization (the caller raises
+    lambda and retries).
     """
     gains = GainSchedule()
     value_models: Dict[HistoryPath, QuadraticValueModel] = {}
 
     def visit(h: HistoryPath) -> QuadraticValueModel:
-        m = tree.controls[h].shape[0]
+        xs, us = tree.xs[h], tree.controls[h]
+        beta = tree.betas[h][0]  # the logits of a node are the same on every row
+        m = us.shape[0]
         leaf = tree.is_leaf(h)
+        levels, grads, hessians = _cost_expansion(model, xs, us, beta)
+        m_in = m if leaf else m - 1
         z_dyn = node_dynamics_latent(h, tree.beliefs[()])
+        jacs = _insegment_jacobians(model, xs[:m_in], us[:m_in], z_dyn)
         if leaf:
-            x_t, beta_t = tree.terminal_state(h)
-            vm = terminal_value_model(model, x_t, beta_t)
-            child_vms = None
+            vm = terminal_value_model(model, *tree.terminal_state(h))
         else:
             child_vms = [visit(h + (z,)) for z in range(tree.num_latents)]
-            vm = None
-        for j in reversed(range(m)):
-            x = tree.xs[h][j]
-            beta = tree.betas[h][j]
-            u = tree.controls[h][j]
-            if not leaf and j == m - 1:
-                s = BeliefState(x, BeliefLogits(np.asarray(beta, dtype=float)))
-                k, K, vm = optimize_control(
-                    model, u, s, child_vms, Belief(softmax(beta)), lam
-                )
-            else:
-                k, K, vm = _insegment_step(model, u, x, beta, z_dyn, vm, lam)
+            j = m - 1
+            cost = (levels[j], grads[j], hessians[j])
+            k, K, vm = optimize_control(model, xs[j], beta, us[j], cost, child_vms, lam)
+            gains.open[(h, j)] = k
+            gains.feedback[(h, j)] = K
+        for j in reversed(range(m_in)):
+            cost = (levels[j], grads[j], hessians[j])
+            k, K, vm = _insegment_step(cost, jacs[j], vm, lam)
             gains.open[(h, j)] = k
             gains.feedback[(h, j)] = K
         value_models[h] = vm

@@ -45,6 +45,44 @@ def test_zero_noise_single_latent_replays_plan_cost():
     assert abs(trace.cumulative_cost - planned) < 1e-8
 
 
+def test_plan_cache_keys_on_the_warm_start(monkeypatch):
+    # Single latent, deterministic dynamics: every episode replans from the
+    # same (x, b, schedule), so only the warm start tells the replans apart.
+    from poddp import harness
+
+    sc, model = _deterministic_chain_scenario()
+    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=3)
+    planned = []
+    real_plan, real_warm = harness.plan, harness._warm_start
+    shift = [0.0]
+
+    def counting_plan(*args, **kwargs):
+        planned.append(args)
+        return real_plan(*args, **kwargs)
+
+    def shifted_warm(*args):
+        return {h: u + shift[0] for h, u in real_warm(*args).items()}
+
+    monkeypatch.setattr(harness, "plan", counting_plan)
+    monkeypatch.setattr(harness, "_warm_start", shifted_warm)
+    cache = {}
+
+    def run():
+        execute_episode(
+            PlannerKind.PODDP, model, sc.initial_state, Belief(np.ones(1)), 0,
+            seed=0, config=config, control_low=sc.control_low,
+            control_high=sc.control_high, _plan_cache=cache,
+        )
+
+    run()
+    assert len(planned) == sc.segments
+    run()  # same warm starts: every plan is shared
+    assert len(planned) == sc.segments
+    shift[0] = 0.01
+    run()  # the first plan has no warm start and is shared; no replan is
+    assert len(planned) == 2 * sc.segments - 1
+
+
 def test_same_seed_bit_identical_traces():
     sc = build_scenario("terrain")
     config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=8)

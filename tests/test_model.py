@@ -1,12 +1,16 @@
 """Problem-model derivatives: numerical differentiation and scenario Jacobians."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from poddp.model import (
     ProblemModel,
-    derivative_bundle,
+    dynamics_jacs,
     numerical_gradient,
     numerical_jacobian,
+    observation_jac,
+    running_cost_derivs,
 )
 from poddp.belief import LatentSet
 from poddp.scenarios import build_scenario
@@ -49,29 +53,40 @@ def test_quadratic_cost_derivatives_exact():
     r = np.diag([0.3, 1.5])
     model = _quadratic_model(q, r)
     x, u = rng.standard_normal(3), rng.standard_normal(2)
-    bundle = derivative_bundle(model, x, u, 0)
-    np.testing.assert_allclose(bundle.l_x, q @ x, atol=1e-8)
-    np.testing.assert_allclose(bundle.l_u, r @ u, atol=1e-8)
-    np.testing.assert_allclose(bundle.l_xx, q, atol=1e-8)
-    np.testing.assert_allclose(bundle.l_uu, r, atol=1e-8)
+    l_x, l_u, l_xx, _, l_uu = running_cost_derivs(model, x, u, 0)
+    np.testing.assert_allclose(l_x, q @ x, atol=1e-8)
+    np.testing.assert_allclose(l_u, r @ u, atol=1e-8)
+    np.testing.assert_allclose(l_xx, q, atol=1e-8)
+    np.testing.assert_allclose(l_uu, r, atol=1e-8)
 
 
 def test_z_independent_dynamics_identical_jacobians():
     model = _quadratic_model(np.eye(2), np.eye(1))
     x, u = np.array([0.4, -1.2]), np.array([0.7])
-    b0 = derivative_bundle(model, x, u, 0)
-    b1 = derivative_bundle(model, x, u, 1)
-    np.testing.assert_array_equal(b0.f_x, b1.f_x)
-    np.testing.assert_array_equal(b0.f_u, b1.f_u)
+    f_x0, f_u0 = dynamics_jacs(model, x, u, 0)
+    f_x1, f_u1 = dynamics_jacs(model, x, u, 1)
+    np.testing.assert_array_equal(f_x0, f_x1)
+    np.testing.assert_array_equal(f_u0, f_u1)
 
 
-def test_derivative_bundle_deterministic():
+def test_derivative_providers_deterministic():
     model = _quadratic_model(np.eye(2), np.eye(1))
     x, u = np.array([0.4, -1.2]), np.array([0.7])
-    b0 = derivative_bundle(model, x, u, 0)
-    b1 = derivative_bundle(model, x, u, 0)
-    for name in ("f_x", "f_u", "l_x", "l_u", "l_xx", "l_xu", "l_uu"):
-        np.testing.assert_array_equal(getattr(b0, name), getattr(b1, name))
+    first = dynamics_jacs(model, x, u, 0) + running_cost_derivs(model, x, u, 0)
+    second = dynamics_jacs(model, x, u, 0) + running_cost_derivs(model, x, u, 0)
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_observation_jacobian_fallback_matches_provider():
+    g = np.array([[0.5, -2.0]])
+    model = _quadratic_model(np.eye(2), np.eye(1))
+    nonlinear = lambda x, z: np.array([0.5 * x[0] - x[1] ** 2 + z])
+    x = np.array([0.4, 1.0])
+    fallback = replace(model, observation_mean=nonlinear)
+    provided = replace(fallback, observation_jacobian=lambda x, z: g)
+    np.testing.assert_allclose(observation_jac(fallback, x, 1), g, atol=1e-9)
+    np.testing.assert_array_equal(observation_jac(provided, x, 1), g)
 
 
 def test_bicycle_analytic_jacobian_matches_numerical():

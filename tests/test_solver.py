@@ -4,19 +4,32 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poddp.belief import Belief, BeliefLogits, BeliefState, LatentSet, bayes_update, softmax
-from poddp.model import ProblemModel, numerical_gradient
+from poddp.belief import BELIEF_FLOOR, Belief, LatentSet, bayes_update, softmax
+from poddp.model import (
+    FD_HESS_REL_STEP,
+    ProblemModel,
+    numerical_gradient,
+    numerical_jacobian,
+)
 from poddp.solver import (
+    BackwardFailureError,
     GainSchedule,
     SolverConfig,
+    _branch_jacobians,
+    _cost_expansion,
+    _expected_q,
+    _insegment_jacobians,
+    _insegment_step,
+    _solve_gains,
     backward_pass,
     evaluate_tree_cost,
     forward_pass,
     optimize_control,
     solve,
+    terminal_value_model,
 )
 from poddp.tree import TrajectoryTree
 
@@ -202,11 +215,19 @@ def test_evaluate_tree_cost_latent_permutation_invariant(tmaze_scenario):
 # optimize_control
 
 
+def _step_cost(model, x, beta, u):
+    """The `_cost_expansion` of the single step (x, beta, u)."""
+    levels, grads, hessians = _cost_expansion(
+        model, np.atleast_2d(x), np.atleast_2d(u), np.asarray(beta, float)
+    )
+    return levels[0], grads[0], hessians[0]
+
+
 def test_optimize_control_zero_problem_gives_zero_gains():
     model = _constant_cost_model(lambda x, u, z: 0.0, lambda x, z: 0.0)
-    s = BeliefState(np.zeros(1), BeliefLogits(np.log(np.array([0.5, 0.5]))))
-    b = Belief(np.array([0.5, 0.5]))
-    k, gain, vm = optimize_control(model, np.zeros(1), s, None, b, lam=1e-6)
+    x, beta, u = np.zeros(1), np.log(np.array([0.5, 0.5])), np.zeros(1)
+    cost = _step_cost(model, x, beta, u)
+    k, gain, vm = optimize_control(model, x, beta, u, cost, None, lam=1e-6)
     np.testing.assert_allclose(k, 0.0, atol=1e-12)
     np.testing.assert_allclose(gain, 0.0, atol=1e-12)
     assert abs(vm.dv) < 1e-12
@@ -228,10 +249,9 @@ def test_optimize_control_one_step_lqr_closed_form():
     v_ss = np.zeros((n + nz, n + nz))
     v_ss[:n, :n] = p_mat
     child = QuadraticValueModel(dv=0.0, v_s=v_s, v_ss=v_ss, cost_to_go=0.0)
-    s = BeliefState(x, BeliefLogits(np.zeros(1)))
-    k, _, _ = optimize_control(
-        model, u_bar, s, [child], Belief(np.ones(1)), lam=0.0
-    )
+    beta = np.zeros(1)
+    cost = _step_cost(model, x, beta, u_bar)
+    k, _, _ = optimize_control(model, x, beta, u_bar, cost, [child], lam=0.0)
     # One-step LQR oracle around the same expansion point.
     b_mat = lqr.b
     q_u = lqr.r @ u_bar + b_mat.T @ p_vec
@@ -242,10 +262,9 @@ def test_optimize_control_one_step_lqr_closed_form():
 
 def test_optimize_control_symmetric_belief_no_lateral_preference(tmaze_scenario):
     sc = tmaze_scenario
-    s = BeliefState(sc.initial_state, BeliefLogits(np.log(np.array([0.5, 0.5]))))
-    k, _, _ = optimize_control(
-        sc.model, np.zeros(2), s, None, Belief(np.array([0.5, 0.5])), lam=1e-6
-    )
+    x, beta, u = sc.initial_state, np.log(np.array([0.5, 0.5])), np.zeros(2)
+    cost = _step_cost(sc.model, x, beta, u)
+    k, _, _ = optimize_control(sc.model, x, beta, u, cost, None, lam=1e-6)
     assert abs(k[0]) < 1e-8  # steering component
 
 
@@ -349,40 +368,40 @@ def test_monotone_improvement_on_accepted_iterations(tmaze_scenario):
 # Q-derivative finite-difference checks
 
 
-def _q_ingredients(model, s_vec, u, child_vms):
-    """Analytic (q_s, q_u) and a numeric Q evaluator sharing the same
-    child value models and expansion point."""
-    from poddp.solver import (
-        _assemble_q,
-        _belief_terms,
-        _branch_chain,
-        _cost_block,
-        _ZTerm,
-        terminal_value_model,
-    )
-    from poddp.model import numerical_jacobian
+def _branch_chain(model, z):
+    """Finite-difference oracle of a branch: the successor s' = (x', log b')
+    through dynamics, observation and `bayes_update`, for latent branch z."""
+    n = model.state_dim
 
+    def chain(s, u):
+        x, beta = s[:n], s[n:]
+        b = Belief(softmax(beta))
+        x_next = np.asarray(model.dynamics_mean(x, u, z), dtype=float)
+        o_next = model.observation_mean(x_next, z)
+        b_next = bayes_update(o_next, x_next, u, x, b, model)
+        return np.concatenate([x_next, np.log(b_next.probs)])
+
+    return chain
+
+
+def _q_ingredients(model, s_vec, u, child_vms):
+    """Analytic (q_s, q_u) of the branch step and a numeric Q evaluator
+    through the finite-difference chain, sharing the same child value models
+    and expansion point."""
     n = model.state_dim
     nz = model.num_latents
     ns = n + nz
     x, beta = s_vec[:n], s_vec[n:]
-    weights, dbs, d2bs = _belief_terms(beta, n)
     chains = [_branch_chain(model, z) for z in range(nz)]
     succ_bars = [chains[z](s_vec, u) for z in range(nz)]
-    vms = []
-    terms = []
-    for z in range(nz):
-        vm = child_vms[z] if child_vms is not None else terminal_value_model(
-            model, succ_bars[z][:n], succ_bars[z][n:]
-        )
-        vms.append(vm)
-        a_mat = numerical_jacobian(lambda sv: chains[z](sv, u), s_vec)
-        b_mat = numerical_jacobian(lambda uv: chains[z](s_vec, uv), u)
-        cost, l_s, l_u, l_ss, l_su, l_uu = _cost_block(model, x, u, z, ns)
-        terms.append(
-            _ZTerm(weights[z], dbs[z], d2bs[z], cost, l_s, l_u, l_ss, l_su, l_uu, a_mat, b_mat, vm)
-        )
-    q0, q_s, q_u, *_ = _assemble_q(terms, ns, model.control_dim)
+    vms = [
+        child_vms[z]
+        if child_vms is not None
+        else terminal_value_model(model, succ_bars[z][:n], succ_bars[z][n:])
+        for z in range(nz)
+    ]
+    jacs = [_branch_jacobians(model, x, beta, u, z)[1] for z in range(nz)]
+    _, q, _, _ = _expected_q(_step_cost(model, x, beta, u), beta, jacs, vms)
 
     def q_num(sv, uv):
         xb, bb = sv[:n], sv[n:]
@@ -395,7 +414,7 @@ def _q_ingredients(model, s_vec, u, child_vms):
             total += w[z] * (model.running_cost(xb, uv, z) + val)
         return total
 
-    return q_s, q_u, q_num
+    return q[:ns], q[ns:], q_num
 
 
 def _check_q_derivs(model, s_vec, u, child_vms, rtol=1e-3):
@@ -408,16 +427,16 @@ def _check_q_derivs(model, s_vec, u, child_vms, rtol=1e-3):
     assert np.max(np.abs(q_u - fd_u)) / scale_u < rtol
 
 
-@pytest.mark.parametrize("name", ["tmaze", "terrain", "lanechange"])
-def test_q_derivatives_match_finite_differences(name, request):
-    sc = request.getfixturevalue(f"{name}_scenario")
+def _branch_points(sc, seed, count=20):
+    """Perturbed branch-step points (x, beta, u, child value models or None)
+    taken from a briefly solved tree of the scenario."""
     config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=6)
-    result = solve(sc.model, sc.initial_state, sc.prior, config)
-    tree = result.tree
-    rng = np.random.default_rng(21)
+    tree = solve(sc.model, sc.initial_state, sc.prior, config).tree
+    rng = np.random.default_rng(seed)
     branch_nodes = [h for h in tree.controls if not tree.is_leaf(h)]
     hi = 0.8 * sc.control_high
-    for _ in range(20):
+    points = []
+    for _ in range(count):
         h = branch_nodes[rng.integers(len(branch_nodes))]
         j = tree.controls[h].shape[0] - 1
         x = tree.xs[h][j] + rng.standard_normal(sc.model.state_dim) * 0.01
@@ -428,8 +447,113 @@ def test_q_derivatives_match_finite_differences(name, request):
         child_vms = [tree.value_models.get(h + (z,)) for z in range(tree.num_latents)]
         if any(vm is None for vm in child_vms):
             child_vms = None
-        s_vec = np.concatenate([x, beta])
-        _check_q_derivs(sc.model, s_vec, u, child_vms)
+        points.append((x, beta, u, child_vms))
+    return points
+
+
+@pytest.mark.parametrize("name", ["tmaze", "terrain", "lanechange"])
+def test_q_derivatives_match_finite_differences(name, request):
+    sc = request.getfixturevalue(f"{name}_scenario")
+    for x, beta, u, child_vms in _branch_points(sc, seed=21):
+        _check_q_derivs(sc.model, np.concatenate([x, beta]), u, child_vms)
+
+
+def _evidence_model(noise_scale):
+    """Three latents with everything the branch chain rule must carry: a
+    state-dependent full observation covariance, observation means with a
+    non-zero Jacobian, and dynamics noise that differs by latent (per
+    dimension, full and scalar). Small `noise_scale` makes the evidence
+    decisive, so the posterior of the other latents sits at the floor."""
+    centers = (-0.5, 0.2, 0.9)
+    rates = (0.5, 0.8, 1.1)
+
+    def dynamics_mean(x, u, z):
+        return np.array(
+            [x[0] + 0.1 * x[1], x[1] + 0.1 * (u[0] - rates[z] * math.sin(x[0]))]
+        )
+
+    def dynamics_jacobians(x, u, z):
+        f_x = np.array([[1.0, 0.1], [-0.1 * rates[z] * math.cos(x[0]), 1.0]])
+        return f_x, np.array([[0.0], [0.1]])
+
+    def observation_mean(x, z):
+        return np.array([math.sin(x[0]) + centers[z], x[0] * x[1] * (1.0 + 0.2 * z)])
+
+    def observation_jacobian(x, z):
+        g = 1.0 + 0.2 * z
+        return np.array([[math.cos(x[0]), 0.0], [g * x[1], g * x[0]]])
+
+    def observation_noise(x, z):
+        off = 0.2 * math.tanh(x[1])
+        return noise_scale * np.array(
+            [[0.5 + 0.1 * x[0] ** 2 + 0.05 * z, off], [off, 0.4 + 0.1 * x[1] ** 2]]
+        )
+
+    return ProblemModel(
+        state_dim=2,
+        control_dim=1,
+        obs_dim=2,
+        latents=LatentSet(("a", "b", "c")),
+        dynamics_mean=dynamics_mean,
+        observation_mean=observation_mean,
+        observation_noise=observation_noise,
+        running_cost=lambda x, u, z: float(x @ x + u @ u),
+        final_cost=lambda x, z: float(x @ x),
+        dt=0.1,
+        dynamics_noise=[
+            noise_scale * np.array([0.02, 0.03]),
+            noise_scale * np.array([[0.03, 0.01], [0.01, 0.02]]),
+            noise_scale * 0.025,
+        ],
+        dynamics_jacobians=dynamics_jacobians,
+        observation_jacobian=observation_jacobian,
+    )
+
+
+def _evidence_points(model, seed, count=8):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        x = np.array([0.5, -0.3]) + rng.standard_normal(2) * 0.3
+        beta = rng.standard_normal(model.num_latents)
+        u = rng.standard_normal(1) * 0.5
+        yield x, beta, u
+
+
+def _check_branch_jacobians(model, x, beta, u):
+    s_vec = np.concatenate([x, beta])
+    for z in range(model.num_latents):
+        succ, jac = _branch_jacobians(model, x, beta, u, z)
+        chain = _branch_chain(model, z)
+        expected = chain(s_vec, u)
+        np.testing.assert_allclose(succ, expected, rtol=1e-12, atol=1e-12)
+        fd = np.hstack(
+            [
+                numerical_jacobian(lambda sv: chain(sv, u), s_vec),
+                numerical_jacobian(lambda uv: chain(s_vec, uv), u),
+            ]
+        )
+        err = np.max(np.abs(jac - fd)) / max(1.0, np.max(np.abs(fd)))
+        assert err < 1e-6, (z, err)
+
+
+@pytest.mark.parametrize("name", ["tmaze", "terrain", "lanechange"])
+def test_branch_jacobians_match_finite_difference_chain(name, request):
+    sc = request.getfixturevalue(f"{name}_scenario")
+    for x, beta, u, _ in _branch_points(sc, seed=24, count=8):
+        _check_branch_jacobians(sc.model, x, beta, u)
+
+
+@pytest.mark.parametrize("noise_scale", [1.0, 1e-3])
+def test_branch_jacobians_full_covariance_and_floor(noise_scale):
+    model = _evidence_model(noise_scale)
+    floored = 0
+    for x, beta, u in _evidence_points(model, seed=25):
+        _check_branch_jacobians(model, x, beta, u)
+        for z in range(model.num_latents):
+            post = np.exp(_branch_jacobians(model, x, beta, u, z)[0][2:])
+            floored += int(np.isclose(post.min(), BELIEF_FLOOR, rtol=1e-6))
+    # The decisive case checks the clamped rows; the other the unclamped ones.
+    assert (floored > 0) == (noise_scale < 1.0)
 
 
 def test_value_hessian_symmetric(tmaze_scenario):
@@ -517,20 +641,27 @@ def _latent_cost_scenario():
     )
 
 
+def _insegment_expansion(model, x, beta, u, z_dyn, vm):
+    """The step's cost expansion, in-segment Jacobian, and the branch-step
+    Q of `_expected_q` with that one successor shared by every latent."""
+    cost = _step_cost(model, x, beta, u)
+    jac = _insegment_jacobians(model, x[None], u[None], z_dyn)[0]
+    nz = model.num_latents
+    return cost, jac, _expected_q(cost, beta, [jac] * nz, [vm] * nz)
+
+
 @pytest.mark.parametrize("name", ["tmaze", "terrain", "lanechange", "latent_costs"])
 def test_insegment_q_derivatives_match_finite_differences(name, request):
-    from poddp.model import FD_HESS_REL_STEP, numerical_jacobian
-    from poddp.solver import _dynamics_jacs, _insegment_q
-
     if name == "latent_costs":
         sc = _latent_cost_scenario()
     else:
         sc = request.getfixturevalue(f"{name}_scenario")
     model = sc.model
     n = model.state_dim
+    ns = n + model.num_latents
     for x, beta, u, z_dyn, vm in _insegment_points(sc, seed=22):
-        q0, q_s, q_u, q_ss, q_su, q_uu, _ = _insegment_q(model, u, x, beta, z_dyn, vm)
-        f_x, f_u = _dynamics_jacs(model, x, u, z_dyn)
+        _, jac, (q0, q, big_q, _) = _insegment_expansion(model, x, beta, u, z_dyn, vm)
+        f_x, f_u = jac[:n, :n], jac[:n, ns:]
         s_bar = np.concatenate([x, beta])
 
         def q_num(sv, uv):
@@ -558,7 +689,13 @@ def test_insegment_q_derivatives_match_finite_differences(name, request):
             "q_su": numerical_jacobian(lambda uv: grad_s(s_bar, uv), u, FD_HESS_REL_STEP),
             "q_uu": numerical_jacobian(lambda uv: grad_u(s_bar, uv), u, FD_HESS_REL_STEP),
         }
-        analytic = {"q_s": q_s, "q_u": q_u, "q_ss": q_ss, "q_su": q_su, "q_uu": q_uu}
+        analytic = {
+            "q_s": q[:ns],
+            "q_u": q[ns:],
+            "q_ss": big_q[:ns, :ns],
+            "q_su": big_q[:ns, ns:],
+            "q_uu": big_q[ns:, ns:],
+        }
         assert abs(q0 - q_num(s_bar, u)) < 1e-9 * max(1.0, abs(q0))
         # The expansion is exact for this Q, so only differencing error
         # remains: about 1e-8 of the scale on the shipped scenarios.
@@ -569,38 +706,29 @@ def test_insegment_q_derivatives_match_finite_differences(name, request):
 
 @pytest.mark.parametrize("name", ["tmaze", "lanechange"])
 def test_insegment_q_equals_per_latent_expansion(name, request):
-    # The block-wise expansion drops per-latent terms that cancel because the
-    # belief weights sum to one; summing them all over zero-padded (x, beta)
-    # blocks, as the branch step does, must give the same Q.
-    from poddp.solver import (
-        _assemble_q,
-        _belief_terms,
-        _cost_block,
-        _dynamics_jacs,
-        _insegment_q,
-        _ZTerm,
-    )
-
+    # The in-segment step forms q = c + F^T v' and Q = C + F^T V' F; the
+    # branch-step expansion, given the same successor for every latent,
+    # must give the same step: its value-level and cross terms cancel
+    # because the belief weights sum to one.
     sc = request.getfixturevalue(f"{name}_scenario")
     model = sc.model
-    n, nz, nu = model.state_dim, model.num_latents, model.control_dim
-    ns = n + nz
+    ns = model.state_dim + model.num_latents
     for x, beta, u, z_dyn, vm in _insegment_points(sc, seed=23, count=6):
-        f_x, f_u = _dynamics_jacs(model, x, u, z_dyn)
-        a_mat = np.zeros((ns, ns))
-        a_mat[:n, :n] = f_x
-        a_mat[n:, n:] = np.eye(nz)
-        b_mat = np.zeros((ns, nu))
-        b_mat[:n] = f_u
-        weights, dbs, d2bs = _belief_terms(beta, n)
-        terms = [
-            _ZTerm(weights[z], dbs[z], d2bs[z], *_cost_block(model, x, u, z, ns), a_mat, b_mat, vm)
-            for z in range(nz)
-        ]
-        expected = _assemble_q(terms, ns, nu)
-        got = _insegment_q(model, u, x, beta, z_dyn, vm)
-        for e, g in zip(expected, got):
-            np.testing.assert_allclose(g, e, rtol=1e-10, atol=1e-9)
+        cost, jac, expansion = _insegment_expansion(model, x, beta, u, z_dyn, vm)
+        lam = 1e-6
+        while True:
+            try:
+                expected = _solve_gains(*expansion, ns, lam)
+                break
+            except BackwardFailureError:
+                lam *= 10.0
+        k, gain, got = _insegment_step(cost, jac, vm, lam)
+        np.testing.assert_allclose(k, expected[0], rtol=1e-10, atol=1e-9)
+        np.testing.assert_allclose(gain, expected[1], rtol=1e-10, atol=1e-9)
+        for field in ("v_s", "v_ss", "dv", "cost_to_go"):
+            np.testing.assert_allclose(
+                getattr(got, field), getattr(expected[2], field), rtol=1e-10, atol=1e-9
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +738,6 @@ def test_insegment_q_equals_per_latent_expansion(name, request):
 @pytest.mark.parametrize("name", ["tmaze", "terrain", "lanechange"])
 def test_returned_gains_are_computed_on_the_returned_tree(name, request):
     from poddp.cli import BENCH_BUDGET
-    from poddp.solver import BackwardFailureError
 
     sc = request.getfixturevalue(f"{name}_scenario")
     config = SolverConfig(horizon=sc.horizon, segments=sc.segments, **BENCH_BUDGET)
@@ -646,8 +773,9 @@ def test_returned_gains_are_computed_on_the_returned_tree(name, request):
 def _blow_up_model(limit: float, mode: str):
     """x' = x + u, driven towards x = 5; a control beyond `limit` makes the
     step go non-finite (`inf`, `nan`), overflow in the dynamics, or overflow
-    in the running cost. Analytic derivatives keep the backward pass on the
-    (finite) nominal points."""
+    in the running cost (`math.exp` of more than 709.8 raises, however
+    little the control passes the limit). Analytic derivatives keep the
+    backward pass on the (finite) nominal points."""
 
     def dynamics_mean(x, u, z):
         if abs(u[0]) > limit:
@@ -662,7 +790,7 @@ def _blow_up_model(limit: float, mode: str):
     def running_cost(x, u, z):
         cost = float((x[0] - 5.0) ** 2 + 0.01 * u[0] ** 2)
         if mode == "cost" and abs(u[0]) > limit:
-            cost += math.exp(1e4 * (abs(u[0]) - limit))
+            cost += math.exp(800.0 + 1e4 * (abs(u[0]) - limit))
         return cost
 
     return ProblemModel(
@@ -693,6 +821,9 @@ def _blow_up_model(limit: float, mode: str):
     limit=st.floats(0.05, 2.0),
     mode=st.sampled_from(["inf", "nan", "overflow", "cost"]),
 )
+# Just past the limit the old penalty, exp(1e4 (|u| - limit)), was finite
+# and small, so this control was rightly accepted.
+@example(limit=0.15318627842729787, mode="cost")
 def test_divergent_line_search_trials_are_rejected(limit, mode):
     model = _blow_up_model(limit, mode)
     config = SolverConfig(horizon=4, segments=1, max_iterations=4)
