@@ -10,7 +10,6 @@ closed-loop evaluation harness (`poddp.harness`).
 from .belief import (
     Belief,
     BeliefLogits,
-    BeliefState,
     LatentSet,
     bayes_update,
     belief_from_logits,
@@ -32,7 +31,6 @@ from .tree import QuadraticValueModel, TrajectoryTree, iterate_depth_first, node
 __all__ = [
     "Belief",
     "BeliefLogits",
-    "BeliefState",
     "LatentSet",
     "bayes_update",
     "belief_from_logits",

@@ -8,7 +8,7 @@ perturbations never leave the probability simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,21 +85,6 @@ class BeliefLogits:
         return self.beta.size
 
 
-@dataclass(frozen=True)
-class BeliefState:
-    """Continuous state paired with belief logits: the planner's point."""
-
-    x: np.ndarray
-    beta: BeliefLogits
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-
-    @property
-    def belief(self) -> Belief:
-        return belief_from_logits(self.beta)
-
-
 def softmax(beta: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max-subtraction)."""
     b = np.asarray(beta, dtype=float)
@@ -132,19 +117,24 @@ def floor_probs(probs: np.ndarray, floor: float = BELIEF_FLOOR) -> np.ndarray:
     return p / p.sum()
 
 
-def softmax_jacobian(beta: np.ndarray) -> np.ndarray:
-    """d softmax / d beta: diag(p) - p p^T."""
+def softmax_derivatives(beta: np.ndarray):
+    """p = softmax(beta), its Jacobian dp/dbeta = diag(p) - p p^T and the
+    Hessians d^2 p_w / dbeta^2 = p_w (d_w d_w^T - dp/dbeta), d_w = e_w - p,
+    stacked over w."""
     p = softmax(beta)
-    return np.diag(p) - np.outer(p, p)
+    jac = np.diag(p) - np.outer(p, p)
+    dev = np.eye(p.size) - p
+    hess = p[:, None, None] * (dev[:, :, None] * dev[:, None, :] - jac)
+    return p, jac, hess
 
 
-def softmax_hessian(beta: np.ndarray, z: int) -> np.ndarray:
-    """Second derivative of the z-th softmax output w.r.t. the logits."""
-    p = softmax(beta)
-    e = np.zeros_like(p)
-    e[z] = 1.0
-    d = e - p
-    return p[z] * (np.outer(d, d) - np.diag(p) + np.outer(p, p))
+def cov_matrix(cov, dim: int) -> np.ndarray:
+    """A covariance in any format `gaussian_log_density` accepts (scalar
+    variance, per-dimension variances or full matrix) as a full matrix."""
+    c = np.asarray(cov, dtype=float)
+    if c.ndim <= 1:
+        return np.diag(np.broadcast_to(c, (dim,)))
+    return c
 
 
 def gaussian_log_density(value: np.ndarray, mean: np.ndarray, cov) -> float:

@@ -21,8 +21,11 @@ from .belief import (
     BELIEF_FLOOR,
     Belief,
     bayes_update,
+    cov_matrix,
     floor_probs,
+    gaussian_log_density,
     softmax,
+    softmax_derivatives,
 )
 from .model import (
     ProblemModel,
@@ -196,21 +199,11 @@ def evaluate_tree_cost(model: ProblemModel, tree: TrajectoryTree) -> float:
 # feed `_solve_gains`.
 
 
-def _softmax_terms(beta: np.ndarray):
-    """p = softmax(beta), dp/dbeta and the Hessians d^2 p_w/dbeta^2 stacked
-    over w (the Hessian of p_w is p_w (d_w d_w^T - dp/dbeta), d_w = e_w - p)."""
-    p = softmax(beta)
-    jac = np.diag(p) - np.outer(p, p)
-    dev = np.eye(p.size) - p
-    hess = p[:, None, None] * (dev[:, :, None] * dev[:, None, :] - jac)
-    return p, jac, hess
-
-
 def terminal_value_model(model: ProblemModel, x, beta) -> QuadraticValueModel:
     """Quadratic model over (x, beta) of the expected final cost
     sum_w p_w lf_w(x), with p = softmax(beta)."""
     n, nz = model.state_dim, model.num_latents
-    p, jac, hess = _softmax_terms(beta)
+    p, jac, hess = softmax_derivatives(beta)
     lf = np.array([model.final_cost(x, z) for z in range(nz)])
     lf_x, lf_xx = (
         np.array(d) for d in zip(*(final_cost_derivs(model, x, z) for z in range(nz)))
@@ -235,7 +228,7 @@ def _cost_expansion(model: ProblemModel, xs, us, beta):
     n, nz, nu = model.state_dim, model.num_latents, model.control_dim
     ns = n + nz
     m = us.shape[0]
-    p, jac, hess = _softmax_terms(beta)
+    p, jac, hess = softmax_derivatives(beta)
     points = [(xs[j], us[j], z) for j in range(m) for z in range(nz)]
     level = np.array([model.running_cost(*pt) for pt in points]).reshape(m, nz)
     derivs = [running_cost_derivs(model, *pt) for pt in points]
@@ -272,14 +265,6 @@ def _insegment_jacobians(model: ProblemModel, xs, us, z: int) -> np.ndarray:
     return jacs
 
 
-def _cov_matrix(cov, dim: int) -> np.ndarray:
-    """A scalar, per-dimension or full covariance as a full matrix."""
-    c = np.asarray(cov, dtype=float)
-    if c.ndim <= 1:
-        return np.diag(np.broadcast_to(c, (dim,)))
-    return c
-
-
 def _branch_jacobians(model: ProblemModel, x, beta, u, z: int):
     """Successor s'_z = (x'_z, beta'_z) of branch z and its Jacobian
     d s'_z / d(x, beta, u), by the chain rule through dynamics, observation
@@ -287,9 +272,9 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, z: int):
 
     x'_z = f(x, u, z) is observed as o_z = h(x'_z, z), and
     beta'_z = log floor(softmax(beta + L)), where L_w is the Gaussian
-    log-likelihood of (o_z, x'_z) under hypothesis w, as in `bayes_update`
-    (its constant terms cancel in the softmax and are left out). No callback
-    gives the derivative of the observation covariance, so it is differenced.
+    log-likelihood of (o_z, x'_z) under hypothesis w, as in `bayes_update`.
+    No callback gives the derivative of the observation covariance, so it is
+    differenced.
     """
     n, nz, nu = model.state_dim, model.num_latents, model.control_dim
     ns = n + nz
@@ -299,40 +284,32 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, z: int):
     o = np.atleast_1d(np.asarray(model.observation_mean(x_next, z), dtype=float))
     k = o.size
     h_z = observation_jac(model, x_next, z)
-    noise = [np.asarray(model.observation_noise(x_next, w), dtype=float) for w in range(nz)]
+    noise = [model.observation_noise(x_next, w) for w in range(nz)]
     d_noise = numerical_jacobian(
         lambda xn: np.concatenate(
-            [np.ravel(model.observation_noise(xn, w)) for w in range(nz)]
+            [cov_matrix(model.observation_noise(xn, w), k).ravel() for w in range(nz)]
         ),
         x_next,
-    )
-    ends = np.cumsum([c.size for c in noise])
+    ).reshape(nz, k, k, n)
 
     loglik = np.empty(nz)
     d_loglik = np.empty((nz, n + nu))  # d L_w / d(x, u)
     for w in range(nz):
-        r = o - np.atleast_1d(model.observation_mean(x_next, w))
-        cov = _cov_matrix(noise[w], k)
-        d_w = d_noise[ends[w] - noise[w].size : ends[w]]
-        if noise[w].ndim == 2:
-            d_cov = d_w.reshape(k, k, n)
-        else:  # d_cov[i, j] = delta_ij d(variance_i)
-            d_cov = np.eye(k)[:, :, None] * d_w[:, None, :]
-        cov_inv = np.linalg.inv(cov)
-        a = cov_inv @ r
-        loglik[w] = -0.5 * (r @ a + np.linalg.slogdet(cov)[1])
+        mean = model.observation_mean(x_next, w)
+        loglik[w] = gaussian_log_density(o, mean, noise[w])
+        cov_inv = np.linalg.inv(cov_matrix(noise[w], k))
+        a = cov_inv @ (o - np.atleast_1d(mean))
         d_next = (
             -a @ (h_z - observation_jac(model, x_next, w))
-            + 0.5 * np.einsum("i,ijc,j->c", a, d_cov, a)
-            - 0.5 * np.einsum("ij,jic->c", cov_inv, d_cov)
+            + 0.5 * np.einsum("i,ijc,j->c", a, d_noise[w], a)
+            - 0.5 * np.einsum("ij,jic->c", cov_inv, d_noise[w])
         )
         d_loglik[w] = d_next @ dx_next
         dyn_cov = model.dynamics_noise_for(w)
         if dyn_cov is not None:
-            d = x_next - np.asarray(model.dynamics_mean(x, u, w), dtype=float)
-            cov = _cov_matrix(dyn_cov, n)
-            a = np.linalg.solve(cov, d)
-            loglik[w] -= 0.5 * (d @ a + np.linalg.slogdet(cov)[1])
+            mean = np.asarray(model.dynamics_mean(x, u, w), dtype=float)
+            loglik[w] += gaussian_log_density(x_next, mean, dyn_cov)
+            a = np.linalg.solve(cov_matrix(dyn_cov, n), x_next - mean)
             d_loglik[w] -= a @ (dx_next - np.hstack(dynamics_jacs(model, x, u, w)))
 
     post = softmax(beta + loglik)
@@ -365,7 +342,7 @@ def _expected_q(cost, beta, jacs, value_models):
     c0, c, big_c = cost
     ns = jacs[0].shape[0]
     n = ns - beta.size
-    p, jac, hess = _softmax_terms(beta)
+    p, jac, hess = softmax_derivatives(beta)
     ctg = np.array([vm.cost_to_go for vm in value_models])
     succ_grads = np.array([f.T @ vm.v_s for f, vm in zip(jacs, value_models)])
     q = c + p @ succ_grads

@@ -13,12 +13,12 @@ from poddp.belief import (
     LatentSet,
     bayes_update,
     belief_from_logits,
+    cov_matrix,
     gaussian_log_density,
     log_posterior_update,
     logits_from_belief,
     softmax,
-    softmax_hessian,
-    softmax_jacobian,
+    softmax_derivatives,
 )
 from poddp.model import ProblemModel
 
@@ -168,7 +168,8 @@ def test_sequential_updates_match_product_likelihood():
 @given(logits_vectors)
 @settings(max_examples=40, deadline=None)
 def test_softmax_jacobian_matches_finite_differences(beta):
-    jac = softmax_jacobian(beta)
+    p, jac, _ = softmax_derivatives(beta)
+    np.testing.assert_array_equal(p, softmax(beta))
     eps = 1e-6
     fd = np.zeros_like(jac)
     for i in range(beta.size):
@@ -182,13 +183,14 @@ def test_softmax_hessian_matches_finite_differences():
     beta = np.array([0.3, -0.7, 1.1])
     eps = 1e-5
     for z in range(3):
-        hess = softmax_hessian(beta, z)
+        hess = softmax_derivatives(beta)[2][z]
         fd = np.zeros((3, 3))
         for i in range(3):
             dp = np.zeros(3)
             dp[i] = eps
             fd[:, i] = (
-                softmax_jacobian(beta + dp)[z] - softmax_jacobian(beta - dp)[z]
+                softmax_derivatives(beta + dp)[1][z]
+                - softmax_derivatives(beta - dp)[1][z]
             ) / (2 * eps)
         np.testing.assert_allclose(hess, fd, atol=1e-6)
 
@@ -197,6 +199,14 @@ def test_gaussian_log_density_scalar_oracle():
     # Standard normal at 0: log(1/sqrt(2 pi)).
     expected = -0.5 * np.log(2.0 * np.pi)
     assert abs(gaussian_log_density(np.zeros(1), np.zeros(1), np.ones(1)) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("cov", [0.7, np.array([0.5, 2.0, 1.3])])
+def test_cov_matrix_is_the_same_density(cov):
+    v, m = np.array([0.3, -1.2, 0.8]), np.array([0.1, 0.4, -0.2])
+    full = cov_matrix(cov, 3)
+    assert full.shape == (3, 3)
+    assert abs(gaussian_log_density(v, m, full) - gaussian_log_density(v, m, cov)) < 1e-12
 
 
 def test_gaussian_log_density_full_covariance_matches_diagonal():

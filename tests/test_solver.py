@@ -459,13 +459,15 @@ def test_q_derivatives_match_finite_differences(name, request):
 
 
 def _evidence_model(noise_scale):
-    """Three latents with everything the branch chain rule must carry: a
+    """Four latents with everything the branch chain rule must carry: a
     state-dependent full observation covariance, observation means with a
     non-zero Jacobian, and dynamics noise that differs by latent (per
-    dimension, full and scalar). Small `noise_scale` makes the evidence
-    decisive, so the posterior of the other latents sits at the floor."""
-    centers = (-0.5, 0.2, 0.9)
-    rates = (0.5, 0.8, 1.1)
+    dimension, full, scalar and none, so the transition evidence and its
+    normalization constant enter the posterior of only three). Small
+    `noise_scale` makes the evidence decisive, so the posterior of the other
+    latents sits at the floor."""
+    centers = (-0.5, 0.2, 0.9, 1.6)
+    rates = (0.5, 0.8, 1.1, 1.4)
 
     def dynamics_mean(x, u, z):
         return np.array(
@@ -493,7 +495,7 @@ def _evidence_model(noise_scale):
         state_dim=2,
         control_dim=1,
         obs_dim=2,
-        latents=LatentSet(("a", "b", "c")),
+        latents=LatentSet(("a", "b", "c", "d")),
         dynamics_mean=dynamics_mean,
         observation_mean=observation_mean,
         observation_noise=observation_noise,
@@ -504,6 +506,7 @@ def _evidence_model(noise_scale):
             noise_scale * np.array([0.02, 0.03]),
             noise_scale * np.array([[0.03, 0.01], [0.01, 0.02]]),
             noise_scale * 0.025,
+            None,
         ],
         dynamics_jacobians=dynamics_jacobians,
         observation_jacobian=observation_jacobian,
