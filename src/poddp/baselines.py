@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class ExecutablePlan:
     kind: PlannerKind
     result: SolveResult
     exec_steps: int
-    controls: np.ndarray  # (exec_steps, nu) nominal first-segment controls
     converged: bool
     planned_cost: float
     _control_fn: Callable[[int, np.ndarray, Belief], np.ndarray]
@@ -54,34 +53,42 @@ def _chain_config(config: SolverConfig) -> SolverConfig:
     return replace(config, segments=1, boundaries=None)
 
 
-def poddp_plan(
-    model: ProblemModel, x0, b0: Belief, config: SolverConfig, u_init=None
+def _executable(
+    kind: PlannerKind, result: SolveResult, exec_steps: int, width: int, deviation
 ) -> ExecutablePlan:
-    result = solve(model, x0, b0, config, u_init=u_init)
+    """The plan of a solve: the root node's controls, plus feedback
+    K[:, :width] @ deviation(t, x, b) at the steps that have gains."""
     tree = result.tree
-    exec_steps = tree.segment_lengths[0]
-    x_nom = tree.xs[ROOT]
-    beta_nom = tree.betas[ROOT]
 
     def control_fn(t: int, x: np.ndarray, b: Belief) -> np.ndarray:
         u = tree.controls[ROOT][t]
         gain = tree.gains_feedback.get((ROOT, t))
         if gain is None:
             return u
-        ds = np.concatenate(
-            [x - x_nom[t], logits_from_belief(b).beta - beta_nom[t]]
-        )
-        return u + gain @ ds
+        return u + gain[:, :width] @ deviation(t, x, b)
 
     return ExecutablePlan(
-        kind=PlannerKind.PODDP,
+        kind=kind,
         result=result,
         exec_steps=exec_steps,
-        controls=tree.controls[ROOT].copy(),
         converged=result.converged,
         planned_cost=result.cost,
         _control_fn=control_fn,
     )
+
+
+def poddp_plan(
+    model: ProblemModel, x0, b0: Belief, config: SolverConfig, u_init=None
+) -> ExecutablePlan:
+    result = solve(model, x0, b0, config, u_init=u_init)
+    tree = result.tree
+    x_nom, beta_nom = tree.xs[ROOT], tree.betas[ROOT]
+
+    def deviation(t, x, b):
+        return np.concatenate([x - x_nom[t], logits_from_belief(b).beta - beta_nom[t]])
+
+    width = model.state_dim + model.num_latents
+    return _executable(PlannerKind.PODDP, result, tree.segment_lengths[0], width, deviation)
 
 
 def mlddp_plan(
@@ -92,26 +99,14 @@ def mlddp_plan(
     result = solve(
         conditioned, x0, Belief(np.ones(1)), _chain_config(config), u_init=u_init
     )
-    tree = result.tree
-    nx = model.state_dim
-    x_nom = tree.xs[ROOT]
-
-    def control_fn(t: int, x: np.ndarray, b: Belief) -> np.ndarray:
-        u = tree.controls[ROOT][t]
-        gain = tree.gains_feedback.get((ROOT, t))
-        if gain is None:
-            return u
-        # the conditioned belief coordinate never deviates
-        return u + gain[:, :nx] @ (x - x_nom[t])
-
-    return ExecutablePlan(
-        kind=PlannerKind.MLDDP,
-        result=result,
-        exec_steps=config.segment_lengths()[0],
-        controls=tree.controls[ROOT].copy(),
-        converged=result.converged,
-        planned_cost=result.cost,
-        _control_fn=control_fn,
+    x_nom = result.tree.xs[ROOT]
+    # the conditioned belief coordinate never deviates
+    return _executable(
+        PlannerKind.MLDDP,
+        result,
+        config.segment_lengths()[0],
+        model.state_dim,
+        lambda t, x, b: x - x_nom[t],
     )
 
 
@@ -185,16 +180,10 @@ def stacked_model(model: ProblemModel, b: Belief) -> ProblemModel:
         observation_noise=lambda xs, z: np.ones(model.obs_dim),
         running_cost=running_cost,
         final_cost=final_cost,
-        dt=model.dt,
-        dynamics_noise=None,
-        dynamics_jacobians=dynamics_jacobians if model.dynamics_jacobians else None,
+        dynamics_jacobians=dynamics_jacobians,
         observation_jacobian=lambda xs, z: np.zeros((model.obs_dim, n * nz)),
-        running_cost_derivatives=(
-            running_cost_derivatives if model.running_cost_derivatives else None
-        ),
-        final_cost_derivatives=(
-            final_cost_derivatives if model.final_cost_derivatives else None
-        ),
+        running_cost_derivatives=running_cost_derivatives,
+        final_cost_derivatives=final_cost_derivatives,
     )
 
 
@@ -206,26 +195,14 @@ def pwddp_plan(
     stacked = stacked_model(model, b0)
     xs0 = np.tile(np.asarray(x0, dtype=float), nz)
     result = solve(stacked, xs0, Belief(np.ones(1)), _chain_config(config), u_init=u_init)
-    tree = result.tree
-    x_nom = tree.xs[ROOT]
-
-    def control_fn(t: int, x: np.ndarray, b: Belief) -> np.ndarray:
-        u = tree.controls[ROOT][t]
-        gain = tree.gains_feedback.get((ROOT, t))
-        if gain is None:
-            return u
-        # every hypothesis copy sees the same realized state
-        ds = np.tile(x, nz) - x_nom[t]
-        return u + gain[:, : n * nz] @ ds
-
-    return ExecutablePlan(
-        kind=PlannerKind.PWDDP,
-        result=result,
-        exec_steps=config.segment_lengths()[0],
-        controls=tree.controls[ROOT].copy(),
-        converged=result.converged,
-        planned_cost=result.cost,
-        _control_fn=control_fn,
+    x_nom = result.tree.xs[ROOT]
+    # every hypothesis copy sees the same realized state
+    return _executable(
+        PlannerKind.PWDDP,
+        result,
+        config.segment_lengths()[0],
+        n * nz,
+        lambda t, x, b: np.tile(x, nz) - x_nom[t],
     )
 
 

@@ -14,8 +14,14 @@ import sys
 from pathlib import Path
 
 from .baselines import PlannerKind, plan
-from .harness import run_batch, welch_t, write_episodes_csv, write_summary_json
-from .scenarios import EXPERIMENTS, build_scenario
+from .harness import (
+    run_batch,
+    summary_rows,
+    welch_t,
+    write_episodes_csv,
+    write_summary_json,
+)
+from .scenarios import EXPERIMENTS, SCENARIOS, build_scenario
 from .scenarios.config import (
     ConfigError,
     apply_overrides,
@@ -28,12 +34,8 @@ from .tree import tree_to_dict
 
 OUT_DIR_ENV = "PODDP_OUT_DIR"
 
-# prior probability of the first latent value, per experiment
-PRIOR_KEYS = {
-    "tmaze": "prior_left",
-    "terrain": "prior_smooth",
-    "lanechange": "prior_nice",
-}
+# config key of the prior probability of the first latent value, per experiment
+PRIOR_KEYS = {name: config_class.prior_key for name, (config_class, _) in SCENARIOS.items()}
 
 # the thirteen observation-uncertainty levels of the T-maze sweep
 SIGMA_LEVELS = tuple(round(0.1 + i, 1) for i in range(13))
@@ -188,16 +190,7 @@ def cmd_benchmark(args) -> int:
             levels.append(
                 {
                     "sigma_level": level,
-                    "summaries": [
-                        {
-                            "planner": s.planner.value,
-                            "n": s.n,
-                            "mean": s.mean,
-                            "stderr": s.stderr,
-                            "stderr_flag": s.stderr_flag,
-                        }
-                        for s in stats
-                    ],
+                    "summaries": summary_rows(stats),
                     "comparisons": comparisons,
                 }
             )

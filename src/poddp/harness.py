@@ -290,46 +290,24 @@ def write_episodes_csv(traces: Sequence[EpisodeTrace], path) -> None:
             )
 
 
+def summary_rows(stats: Sequence[BatchStats]) -> List[dict]:
+    """One row of batch statistics per planner, as the summary files hold them."""
+    return [
+        {
+            "planner": s.planner.value,
+            "n": s.n,
+            "mean": s.mean,
+            "stderr": s.stderr,
+            "stderr_flag": s.stderr_flag,
+        }
+        for s in stats
+    ]
+
+
 def write_summary_json(stats: Sequence[BatchStats], config_hash: str, path, extra=None):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "config_hash": config_hash,
-        "summaries": [
-            {
-                "planner": s.planner.value,
-                "n": s.n,
-                "mean": s.mean,
-                "stderr": s.stderr,
-                "stderr_flag": s.stderr_flag,
-            }
-            for s in stats
-        ],
-    }
+    payload = {"config_hash": config_hash, "summaries": summary_rows(stats)}
     if extra:
         payload.update(extra)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def trace_to_dict(tr: EpisodeTrace) -> dict:
-    return {
-        "seed": tr.seed,
-        "planner": tr.planner.value,
-        "true_z": tr.true_z,
-        "cumulative_cost": tr.cumulative_cost,
-        "final_cost": tr.final_cost,
-        "replans": tr.replans,
-        "converged": tr.converged,
-        "final_state": tr.final_state.tolist(),
-        "final_belief": tr.final_belief.tolist(),
-        "steps": [
-            {
-                "x": s.x.tolist(),
-                "u": s.u.tolist(),
-                "cost": s.cost,
-                "observation": None if s.observation is None else s.observation.tolist(),
-                "belief": s.belief.tolist(),
-            }
-            for s in tr.steps
-        ],
-    }

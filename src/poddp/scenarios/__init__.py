@@ -10,9 +10,15 @@ import numpy as np
 from ..belief import Belief
 from ..model import ProblemModel
 from . import lane_change, terrain, tmaze
-from .config import ConfigError, apply_overrides, default_config
+from .config import ConfigError, default_config
 
-EXPERIMENTS = ("tmaze", "terrain", "lanechange")
+# experiment name -> (config dataclass, model builder)
+SCENARIOS = {
+    "tmaze": (tmaze.TMazeConfig, tmaze.build),
+    "terrain": (terrain.TerrainConfig, terrain.build),
+    "lanechange": (lane_change.LaneChangeConfig, lane_change.build),
+}
+EXPERIMENTS = tuple(SCENARIOS)
 
 
 @dataclass(frozen=True)
@@ -35,33 +41,21 @@ def build_scenario(name: str, config: Optional[dict] = None) -> Scenario:
 
     When `config` is None the shipped default configuration is used.
     """
-    if name not in EXPERIMENTS:
+    if name not in SCENARIOS:
         raise ConfigError(f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
+    config_class, build = SCENARIOS[name]
     cfg = default_config(name) if config is None else dict(config)
-    if name == "tmaze":
-        sc = tmaze.config_from_dict(cfg)
-        model, x0, b0 = tmaze.build(sc), sc.start, tmaze.prior(sc)
-    elif name == "terrain":
-        sc = terrain.config_from_dict(cfg)
-        model, x0, b0 = terrain.build(sc), sc.start, terrain.prior(sc)
-    else:
-        sc = lane_change.config_from_dict(cfg)
-        model = lane_change.build(sc)
-        x0, b0 = lane_change.initial_state(sc), lane_change.prior(sc)
-    bound = np.array([sc.vehicle.steer_max, sc.vehicle.accel_max])
+    sc = config_class.from_dict(cfg)
+    first = getattr(sc, sc.prior_key)  # prior probability of the first latent
+    bound = np.array([sc.steer_max, sc.accel_max])
     return Scenario(
         name=name,
-        model=model,
-        initial_state=np.asarray(x0, dtype=float),
-        prior=b0,
+        model=build(sc),
+        initial_state=sc.initial_state(),
+        prior=Belief(np.array([first, 1.0 - first])),
         horizon=sc.horizon,
         segments=sc.segments,
         control_low=-bound,
         control_high=bound,
         config=cfg,
     )
-
-
-def scenario_with_overrides(name: str, overrides: dict, base: Optional[dict] = None) -> Scenario:
-    cfg = default_config(name) if base is None else dict(base)
-    return build_scenario(name, apply_overrides(cfg, overrides))

@@ -4,20 +4,82 @@ One file per experiment; lines are ``key = value`` with ``#`` comments.
 Values parse as int, float, or bare string. Overrides must reference keys
 that exist in the file, and every result file records the hash of the fully
 resolved configuration so a run is reconstructible from its outputs.
+
+A scenario reads its file through a dataclass whose fields are exactly the
+file's keys (`ScenarioConfig.from_dict`).
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Union
+from typing import ClassVar, Dict, Union
+
+import numpy as np
+
+from .vehicle import BicycleParams
 
 Value = Union[int, float, str]
 
 
 class ConfigError(ValueError):
     pass
+
+
+# Config fields are annotated `int` or `float`; under postponed evaluation a
+# field's annotation is that name.
+_COERCE = {"int": int, "float": float}
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """The keys every scenario file has; a scenario's config adds its own."""
+
+    prior_key: ClassVar[str]  # the key of the first latent value's prior probability
+
+    dt: float
+    horizon: int
+    segments: int
+    wheelbase: float
+    v_max: float
+    steer_max: float
+    accel_max: float
+    start_x: float
+    start_y: float
+    start_heading: float
+    start_speed: float
+
+    @classmethod
+    def from_dict(cls, values: Dict[str, Value]):
+        """The config holding `values`, each coerced by its field's
+        annotation. Every field must be given, and nothing else."""
+        names = [f.name for f in fields(cls)]
+        missing = [k for k in names if k not in values]
+        unknown = [k for k in values if k not in names]
+        problems = []
+        if missing:
+            problems.append(f"missing config keys: {', '.join(missing)}")
+        if unknown:
+            problems.append(f"unknown config keys: {', '.join(unknown)}")
+        if problems:
+            raise ConfigError("; ".join(problems))
+        coerced = {}
+        for f in fields(cls):
+            try:
+                coerced[f.name] = _COERCE[f.type](values[f.name])
+            except (ValueError, OverflowError):  # e.g. a word, or inf for an int
+                raise ConfigError(
+                    f"config key {f.name!r} must be {f.type}, got {values[f.name]!r}"
+                ) from None
+        return cls(**coerced)
+
+    def vehicle(self) -> BicycleParams:
+        return BicycleParams(self.wheelbase, self.v_max, self.steer_max, self.accel_max)
+
+    def initial_state(self) -> np.ndarray:
+        return np.array([self.start_x, self.start_y, self.start_heading, self.start_speed])
 
 
 def _parse_value(raw: str) -> Value:

@@ -36,23 +36,15 @@ class IDMParams:
                 raise ValueError(f"{name} must be positive")
 
 
-def idm_accel(ego_lon, ego_v, other_lon, other_v, other_lane_overlap, params: IDMParams) -> float:
-    """Acceleration of the IDM-controlled vehicle with the planner's vehicle
-    as its (smoothly identified) candidate leader.
-
-    `other_lane_overlap` in [0, 1] scales how much the candidate leader
-    occupies the IDM vehicle's lane.
-    """
-    a, _ = idm_accel_with_partials(ego_lon, ego_v, other_lon, other_v, other_lane_overlap, params)
-    return a
-
-
 def idm_accel_with_partials(
     ego_lon, ego_v, other_lon, other_v, other_lane_overlap, params: IDMParams
 ):
-    """IDM acceleration and its partial derivatives.
+    """Acceleration of the IDM-controlled vehicle with the planner's vehicle
+    as its (smoothly identified) candidate leader, and its partials.
 
-    Returns (accel, d accel / d (ego_lon, ego_v, other_lon, other_v, overlap)).
+    `other_lane_overlap` in [0, 1] scales how much the candidate leader
+    occupies the IDM vehicle's lane. Returns
+    (accel, d accel / d (ego_lon, ego_v, other_lon, other_v, overlap)).
     """
     p = params
     gap = ego_lon - other_lon

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ..belief import Belief, LatentSet
+from ..belief import LatentSet
 from ..model import ProblemModel, read_only
+from .config import ScenarioConfig
 from .idm import IDMParams, idm_accel_with_partials
 from .vehicle import (
     ACCEL,
@@ -28,7 +30,6 @@ from .vehicle import (
     STEER,
     TH,
     V,
-    BicycleParams,
     bicycle_jacobians,
     bicycle_step,
     sigmoid,
@@ -40,19 +41,22 @@ STATE_DIM = 6
 
 
 @dataclass(frozen=True)
-class LaneChangeConfig:
-    dt: float
-    horizon: int
-    segments: int
-    vehicle: BicycleParams
-    start: np.ndarray  # ego (x, y, heading, v)
+class LaneChangeConfig(ScenarioConfig):
+    prior_key: ClassVar[str] = "prior_nice"
+
     other_start_lon: float
     other_start_speed: float
     other_speed_max: float
     lane_y: float  # lateral center of the target lane
     overlap_width: float  # lateral scale of the lane-occupancy fade
-    idm_nice: IDMParams
-    idm_aggressive: IDMParams
+    idm_time_headway: float  # IDM parameters shared between dispositions
+    idm_max_accel: float
+    idm_comfort_decel: float
+    idm_min_gap: float
+    idm_yield_onset: float
+    idm_gap_floor: float
+    nice_desired_speed: float
+    aggressive_desired_speed: float
     desired_speed: float  # ego cruise speed
     lane_end: float  # longitude where the starting lane runs out
     lane_end_gain: float  # escalation of the lane cost past lane_end
@@ -66,76 +70,36 @@ class LaneChangeConfig:
     collision_weight: float
     collision_lon_scale: float
     collision_lat_scale: float
-    process_std: np.ndarray  # per-state-dimension noise std dev
+    process_std_x: float  # per-state-dimension noise std dev
+    process_std_y: float
+    process_std_heading: float
+    process_std_speed: float
+    process_std_other_lon: float
+    process_std_other_speed: float
     prior_nice: float
 
-    def idm_for(self, z: int) -> IDMParams:
-        return self.idm_nice if z == NICE else self.idm_aggressive
-
-
-def config_from_dict(cfg: dict) -> LaneChangeConfig:
-    def idm(prefix: str, yielding: float) -> IDMParams:
-        return IDMParams(
-            desired_speed=float(cfg[f"{prefix}_desired_speed"]),
-            time_headway=float(cfg["idm_time_headway"]),
-            max_accel=float(cfg["idm_max_accel"]),
-            comfort_decel=float(cfg["idm_comfort_decel"]),
-            min_gap=float(cfg["idm_min_gap"]),
-            yielding=yielding,
-            yield_onset=float(cfg["idm_yield_onset"]),
-            gap_floor=float(cfg["idm_gap_floor"]),
+    def initial_state(self) -> np.ndarray:
+        return np.concatenate(
+            [super().initial_state(), [self.other_start_lon, self.other_start_speed]]
         )
 
-    return LaneChangeConfig(
-        dt=float(cfg["dt"]),
-        horizon=int(cfg["horizon"]),
-        segments=int(cfg["segments"]),
-        vehicle=BicycleParams(
-            wheelbase=float(cfg["wheelbase"]),
-            v_max=float(cfg["v_max"]),
-            steer_max=float(cfg["steer_max"]),
-            accel_max=float(cfg["accel_max"]),
-        ),
-        start=np.array(
-            [
-                float(cfg["start_x"]),
-                float(cfg["start_y"]),
-                float(cfg["start_heading"]),
-                float(cfg["start_speed"]),
-            ]
-        ),
-        other_start_lon=float(cfg["other_start_lon"]),
-        other_start_speed=float(cfg["other_start_speed"]),
-        other_speed_max=float(cfg["other_speed_max"]),
-        lane_y=float(cfg["lane_y"]),
-        overlap_width=float(cfg["overlap_width"]),
-        idm_nice=idm("nice", 1.0),
-        idm_aggressive=idm("aggressive", 0.0),
-        desired_speed=float(cfg["desired_speed"]),
-        lane_end=float(cfg["lane_end"]),
-        lane_end_gain=float(cfg["lane_end_gain"]),
-        lane_end_width=float(cfg["lane_end_width"]),
-        lane_weight_running=float(cfg["lane_weight_running"]),
-        lane_weight_final=float(cfg["lane_weight_final"]),
-        heading_weight=float(cfg["heading_weight"]),
-        speed_weight=float(cfg["speed_weight"]),
-        steer_weight=float(cfg["steer_weight"]),
-        accel_weight=float(cfg["accel_weight"]),
-        collision_weight=float(cfg["collision_weight"]),
-        collision_lon_scale=float(cfg["collision_lon_scale"]),
-        collision_lat_scale=float(cfg["collision_lat_scale"]),
-        process_std=np.array(
-            [
-                float(cfg["process_std_x"]),
-                float(cfg["process_std_y"]),
-                float(cfg["process_std_heading"]),
-                float(cfg["process_std_speed"]),
-                float(cfg["process_std_other_lon"]),
-                float(cfg["process_std_other_speed"]),
-            ]
-        ),
-        prior_nice=float(cfg["prior_nice"]),
-    )
+
+def idm_params(cfg: LaneChangeConfig):
+    """The other driver's IDM parameters under each latent: (Nice, Aggressive)."""
+
+    def idm(desired_speed: float, yielding: float) -> IDMParams:
+        return IDMParams(
+            desired_speed=desired_speed,
+            time_headway=cfg.idm_time_headway,
+            max_accel=cfg.idm_max_accel,
+            comfort_decel=cfg.idm_comfort_decel,
+            min_gap=cfg.idm_min_gap,
+            yielding=yielding,
+            yield_onset=cfg.idm_yield_onset,
+            gap_floor=cfg.idm_gap_floor,
+        )
+
+    return idm(cfg.nice_desired_speed, 1.0), idm(cfg.aggressive_desired_speed, 0.0)
 
 
 def lane_overlap(cfg: LaneChangeConfig, py: float):
@@ -149,11 +113,9 @@ def lane_overlap(cfg: LaneChangeConfig, py: float):
     return float(s), float(s * (1.0 - s) / cfg.overlap_width)
 
 
-def _other_accel(cfg: LaneChangeConfig, x, z: int):
+def _other_accel(cfg: LaneChangeConfig, idm: IDMParams, x):
     ov, dov = lane_overlap(cfg, x[PY])
-    a, g = idm_accel_with_partials(
-        x[PX], x[V], x[LON_O], x[V_O], ov, cfg.idm_for(z)
-    )
+    a, g = idm_accel_with_partials(x[PX], x[V], x[LON_O], x[V_O], ov, idm)
     # chain partials into state coordinates (px, py, th, v, lon_o, v_o)
     da = np.array([g[0], g[4] * dov, 0.0, g[1], g[2], g[3]])
     return a, da
@@ -161,16 +123,17 @@ def _other_accel(cfg: LaneChangeConfig, x, z: int):
 
 def build(cfg: LaneChangeConfig) -> ProblemModel:
     dt = cfg.dt
-    veh = cfg.vehicle
+    veh = cfg.vehicle()
+    idms = idm_params(cfg)
 
     def dynamics_mean(x, u, z):
-        a, _ = _other_accel(cfg, x, z)
+        a, _ = _other_accel(cfg, idms[z], x)
         ego = bicycle_step(x[:4], u, dt, veh)
         v_o = min(max(x[V_O] + dt * a, 0.0), cfg.other_speed_max)
         return np.concatenate([ego, [x[LON_O] + dt * x[V_O], v_o]])
 
     def dynamics_jacobians(x, u, z):
-        a, da = _other_accel(cfg, x, z)
+        a, da = _other_accel(cfg, idms[z], x)
         ego_fx, ego_fu = bicycle_jacobians(x[:4], u, dt, veh)
         f_x = np.zeros((STATE_DIM, STATE_DIM))
         f_u = np.zeros((STATE_DIM, 2))
@@ -288,7 +251,17 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
         lf_xx[TH, TH] += 2.0 * cfg.heading_weight
         return lf_x, lf_xx
 
-    var = cfg.process_std ** 2
+    process_std = np.array(
+        [
+            cfg.process_std_x,
+            cfg.process_std_y,
+            cfg.process_std_heading,
+            cfg.process_std_speed,
+            cfg.process_std_other_lon,
+            cfg.process_std_other_speed,
+        ]
+    )
+    var = process_std ** 2
     return ProblemModel(
         state_dim=STATE_DIM,
         control_dim=2,
@@ -299,20 +272,9 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
         observation_noise=observation_noise,
         running_cost=running_cost,
         final_cost=final_cost,
-        dt=dt,
-        dynamics_noise=[var, var],
         dynamics_jacobians=dynamics_jacobians,
         observation_jacobian=observation_jacobian,
         running_cost_derivatives=running_cost_derivatives,
         final_cost_derivatives=final_cost_derivatives,
+        dynamics_noise=[var, var],
     )
-
-
-def initial_state(cfg: LaneChangeConfig) -> np.ndarray:
-    return np.concatenate(
-        [cfg.start, [cfg.other_start_lon, cfg.other_start_speed]]
-    )
-
-
-def prior(cfg: LaneChangeConfig) -> Belief:
-    return Belief(np.array([cfg.prior_nice, 1.0 - cfg.prior_nice]))

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ..belief import Belief, LatentSet
+from ..belief import LatentSet
 from ..model import ProblemModel, read_only
+from .config import ScenarioConfig
 from .vehicle import (
     ACCEL,
-    PX,
     PY,
     STEER,
-    TH,
     V,
-    BicycleParams,
     bicycle_jacobians,
     bicycle_step,
     sigmoid,
@@ -34,17 +33,18 @@ SMOOTH, ROUGH = 0, 1
 
 
 @dataclass(frozen=True)
-class TerrainConfig:
-    dt: float
-    horizon: int
-    segments: int
-    vehicle: BicycleParams
-    start: np.ndarray
-    goal: np.ndarray  # 2D goal point
+class TerrainConfig(ScenarioConfig):
+    prior_key: ClassVar[str] = "prior_smooth"
+
+    goal_x: float
+    goal_y: float
     rho_rough: float  # resistive coefficient on rough terrain
     transition_y: float  # lateral center of the rough->smooth transition (Smooth case)
     transition_width: float
-    process_std: np.ndarray  # per-state-dimension noise std dev
+    process_std_x: float  # per-state-dimension noise std dev
+    process_std_y: float
+    process_std_heading: float
+    process_std_speed: float
     goal_weight_running: float
     goal_weight_final: float
     speed_weight: float
@@ -52,47 +52,6 @@ class TerrainConfig:
     steer_weight: float
     accel_weight: float
     prior_smooth: float
-
-
-def config_from_dict(cfg: dict) -> TerrainConfig:
-    return TerrainConfig(
-        dt=float(cfg["dt"]),
-        horizon=int(cfg["horizon"]),
-        segments=int(cfg["segments"]),
-        vehicle=BicycleParams(
-            wheelbase=float(cfg["wheelbase"]),
-            v_max=float(cfg["v_max"]),
-            steer_max=float(cfg["steer_max"]),
-            accel_max=float(cfg["accel_max"]),
-        ),
-        start=np.array(
-            [
-                float(cfg["start_x"]),
-                float(cfg["start_y"]),
-                float(cfg["start_heading"]),
-                float(cfg["start_speed"]),
-            ]
-        ),
-        goal=np.array([float(cfg["goal_x"]), float(cfg["goal_y"])]),
-        rho_rough=float(cfg["rho_rough"]),
-        transition_y=float(cfg["transition_y"]),
-        transition_width=float(cfg["transition_width"]),
-        process_std=np.array(
-            [
-                float(cfg["process_std_x"]),
-                float(cfg["process_std_y"]),
-                float(cfg["process_std_heading"]),
-                float(cfg["process_std_speed"]),
-            ]
-        ),
-        goal_weight_running=float(cfg["goal_weight_running"]),
-        goal_weight_final=float(cfg["goal_weight_final"]),
-        speed_weight=float(cfg["speed_weight"]),
-        desired_speed=float(cfg["desired_speed"]),
-        steer_weight=float(cfg["steer_weight"]),
-        accel_weight=float(cfg["accel_weight"]),
-        prior_smooth=float(cfg["prior_smooth"]),
-    )
 
 
 def resistance_coefficient(cfg: TerrainConfig, py: float, z: int):
@@ -113,7 +72,8 @@ def resistive_decel(cfg: TerrainConfig, py: float, v: float, z: int) -> float:
 
 def build(cfg: TerrainConfig) -> ProblemModel:
     dt = cfg.dt
-    veh = cfg.vehicle
+    veh = cfg.vehicle()
+    goal = np.array([cfg.goal_x, cfg.goal_y])
 
     def dynamics_mean(x, u, z):
         r = resistive_decel(cfg, x[PY], x[V], z)
@@ -141,7 +101,7 @@ def build(cfg: TerrainConfig) -> ProblemModel:
         return np.zeros((1, 4))
 
     def running_cost(x, u, z):
-        d = x[:2] - cfg.goal
+        d = x[:2] - goal
         return (
             cfg.goal_weight_running * float(d @ d)
             + cfg.speed_weight * (x[V] - cfg.desired_speed) ** 2
@@ -157,7 +117,7 @@ def build(cfg: TerrainConfig) -> ProblemModel:
     l_uu = read_only(np.diag([2.0 * cfg.steer_weight, 2.0 * cfg.accel_weight]))
 
     def running_cost_derivatives(x, u, z):
-        d = x[:2] - cfg.goal
+        d = x[:2] - goal
         l_x = np.zeros(4)
         l_x[:2] = 2.0 * cfg.goal_weight_running * d
         l_x[V] = 2.0 * cfg.speed_weight * (x[V] - cfg.desired_speed)
@@ -167,7 +127,7 @@ def build(cfg: TerrainConfig) -> ProblemModel:
         return l_x, l_u, l_xx, l_xu, l_uu
 
     def final_cost(x, z):
-        d = x[:2] - cfg.goal
+        d = x[:2] - goal
         return cfg.goal_weight_final * float(d @ d)
 
     lf_xx = np.zeros((4, 4))
@@ -176,10 +136,13 @@ def build(cfg: TerrainConfig) -> ProblemModel:
 
     def final_cost_derivatives(x, z):
         lf_x = np.zeros(4)
-        lf_x[:2] = 2.0 * cfg.goal_weight_final * (x[:2] - cfg.goal)
+        lf_x[:2] = 2.0 * cfg.goal_weight_final * (x[:2] - goal)
         return lf_x, lf_xx
 
-    var = cfg.process_std ** 2
+    process_std = np.array(
+        [cfg.process_std_x, cfg.process_std_y, cfg.process_std_heading, cfg.process_std_speed]
+    )
+    var = process_std ** 2
     return ProblemModel(
         state_dim=4,
         control_dim=2,
@@ -190,14 +153,9 @@ def build(cfg: TerrainConfig) -> ProblemModel:
         observation_noise=observation_noise,
         running_cost=running_cost,
         final_cost=final_cost,
-        dt=dt,
-        dynamics_noise=[var, var],
         dynamics_jacobians=dynamics_jacobians,
         observation_jacobian=observation_jacobian,
         running_cost_derivatives=running_cost_derivatives,
         final_cost_derivatives=final_cost_derivatives,
+        dynamics_noise=[var, var],
     )
-
-
-def prior(cfg: TerrainConfig) -> Belief:
-    return Belief(np.array([cfg.prior_smooth, 1.0 - cfg.prior_smooth]))

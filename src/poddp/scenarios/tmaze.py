@@ -10,19 +10,19 @@ evidence flows through the observation channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ..belief import Belief, LatentSet
+from ..belief import LatentSet
 from ..model import ProblemModel, read_only
+from .config import ScenarioConfig
 from .vehicle import (
     ACCEL,
     PX,
     PY,
     STEER,
-    TH,
     V,
-    BicycleParams,
     bicycle_jacobians,
     bicycle_step,
     sigmoid,
@@ -34,12 +34,9 @@ OBS_MEANS = (-1.0, 1.0)
 
 
 @dataclass(frozen=True)
-class TMazeConfig:
-    dt: float
-    horizon: int
-    segments: int
-    vehicle: BicycleParams
-    start: np.ndarray  # (px, py, theta, v)
+class TMazeConfig(ScenarioConfig):
+    prior_key: ClassVar[str] = "prior_left"
+
     goal_lateral: float  # |x| of the two goals; Left is -x, Right is +x
     goal_forward: float  # y of both goals (the maze end)
     corridor_half_width: float
@@ -59,49 +56,12 @@ class TMazeConfig:
     obs_var_floor_frac: float
     prior_left: float
 
-    def goal(self, z: int) -> np.ndarray:
-        sign = -1.0 if z == LEFT else 1.0
-        return np.array([sign * self.goal_lateral, self.goal_forward])
 
-
-def config_from_dict(cfg: dict) -> TMazeConfig:
-    return TMazeConfig(
-        dt=float(cfg["dt"]),
-        horizon=int(cfg["horizon"]),
-        segments=int(cfg["segments"]),
-        vehicle=BicycleParams(
-            wheelbase=float(cfg["wheelbase"]),
-            v_max=float(cfg["v_max"]),
-            steer_max=float(cfg["steer_max"]),
-            accel_max=float(cfg["accel_max"]),
-        ),
-        start=np.array(
-            [
-                float(cfg["start_x"]),
-                float(cfg["start_y"]),
-                float(cfg["start_heading"]),
-                float(cfg["start_speed"]),
-            ]
-        ),
-        goal_lateral=float(cfg["goal_lateral"]),
-        goal_forward=float(cfg["goal_forward"]),
-        corridor_half_width=float(cfg["corridor_half_width"]),
-        corridor_open_y=float(cfg["corridor_open_y"]),
-        wall_weight=float(cfg["wall_weight"]),
-        wall_sharpness=float(cfg["wall_sharpness"]),
-        gate_width=float(cfg["gate_width"]),
-        goal_weight_running=float(cfg["goal_weight_running"]),
-        goal_weight_final=float(cfg["goal_weight_final"]),
-        speed_weight=float(cfg["speed_weight"]),
-        desired_speed=float(cfg["desired_speed"]),
-        steer_weight=float(cfg["steer_weight"]),
-        accel_weight=float(cfg["accel_weight"]),
-        sigma_level=float(cfg["sigma_level"]),
-        obs_decay_rate=float(cfg["obs_decay_rate"]),
-        obs_decay_mid=float(cfg["obs_decay_mid"]),
-        obs_var_floor_frac=float(cfg["obs_var_floor_frac"]),
-        prior_left=float(cfg["prior_left"]),
-    )
+def goals(cfg: TMazeConfig):
+    """The goal points (x, y) of Left and Right, in latent order."""
+    return [
+        np.array([sign * cfg.goal_lateral, cfg.goal_forward]) for sign in (-1.0, 1.0)
+    ]
 
 
 def observation_variance(cfg: TMazeConfig, py: float) -> float:
@@ -160,9 +120,9 @@ def _wall_cost(cfg: TMazeConfig, px: float, py: float):
 
 def build(cfg: TMazeConfig) -> ProblemModel:
     dt = cfg.dt
-    veh = cfg.vehicle
-    goals = [cfg.goal(z) for z in (LEFT, RIGHT)]
-    goal_xy = [tuple(g.tolist()) for g in goals]
+    veh = cfg.vehicle()
+    goal_points = goals(cfg)
+    goal_xy = [tuple(g.tolist()) for g in goal_points]
 
     def dynamics_mean(x, u, z):
         return bicycle_step(x, u, dt, veh)
@@ -199,7 +159,7 @@ def build(cfg: TMazeConfig) -> ProblemModel:
     l_uu = read_only(np.diag([2.0 * cfg.steer_weight, 2.0 * cfg.accel_weight]))
 
     def running_cost_derivatives(x, u, z):
-        d = x[:2] - goals[z]
+        d = x[:2] - goal_points[z]
         _, wall_g, wall_h = _wall_cost(cfg, x[PX], x[PY])
         l_x = np.zeros(4)
         l_x[:2] = 2.0 * cfg.goal_weight_running * d + wall_g
@@ -223,7 +183,7 @@ def build(cfg: TMazeConfig) -> ProblemModel:
 
     def final_cost_derivatives(x, z):
         lf_x = np.zeros(4)
-        lf_x[:2] = 2.0 * cfg.goal_weight_final * (x[:2] - goals[z])
+        lf_x[:2] = 2.0 * cfg.goal_weight_final * (x[:2] - goal_points[z])
         return lf_x, lf_xx
 
     return ProblemModel(
@@ -236,14 +196,9 @@ def build(cfg: TMazeConfig) -> ProblemModel:
         observation_noise=observation_noise,
         running_cost=running_cost,
         final_cost=final_cost,
-        dt=dt,
-        dynamics_noise=None,  # deterministic, latent-independent dynamics
         dynamics_jacobians=dynamics_jacobians,
         observation_jacobian=observation_jacobian,
         running_cost_derivatives=running_cost_derivatives,
         final_cost_derivatives=final_cost_derivatives,
+        dynamics_noise=None,  # deterministic, latent-independent dynamics
     )
-
-
-def prior(cfg: TMazeConfig) -> Belief:
-    return Belief(np.array([cfg.prior_left, 1.0 - cfg.prior_left]))

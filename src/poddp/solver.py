@@ -27,14 +27,7 @@ from .belief import (
     softmax,
     softmax_derivatives,
 )
-from .model import (
-    ProblemModel,
-    dynamics_jacs,
-    final_cost_derivs,
-    numerical_jacobian,
-    observation_jac,
-    running_cost_derivs,
-)
+from .model import ProblemModel, numerical_jacobian
 from .tree import (
     HistoryPath,
     QuadraticValueModel,
@@ -50,7 +43,15 @@ class BackwardFailureError(ArithmeticError):
     """Q_uu not positive definite at the current regularization."""
 
 
-DEFAULT_ALPHAS = tuple(0.5 ** i for i in range(11))
+# Line-search step sizes, tried in order.
+ALPHA_SCHEDULE = tuple(0.5 ** i for i in range(11))
+# Levenberg regularization lambda of Q_uu: its start, the factor it grows by
+# on a failed backward pass or line search, and its bounds (it halves after an
+# accepted step).
+REGULARIZATION_INIT = 1e-6
+REGULARIZATION_FACTOR = 10.0
+REGULARIZATION_MIN = 1e-9
+REGULARIZATION_MAX = 1e10
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,6 @@ class SolverConfig:
     max_iterations: int = 100
     cost_tolerance: float = 1e-7  # relative improvement threshold
     gradient_tolerance: float = 1e-9  # max |k| declaring stationarity
-    alpha_schedule: Tuple[float, ...] = DEFAULT_ALPHAS
-    regularization_init: float = 1e-6
-    regularization_factor: float = 10.0
-    regularization_min: float = 1e-9
-    regularization_max: float = 1e10
 
     def segment_lengths(self) -> Tuple[int, ...]:
         if self.boundaries is not None:
@@ -206,7 +202,8 @@ def terminal_value_model(model: ProblemModel, x, beta) -> QuadraticValueModel:
     p, jac, hess = softmax_derivatives(beta)
     lf = np.array([model.final_cost(x, z) for z in range(nz)])
     lf_x, lf_xx = (
-        np.array(d) for d in zip(*(final_cost_derivs(model, x, z) for z in range(nz)))
+        np.array(d)
+        for d in zip(*(model.final_cost_derivatives(x, z) for z in range(nz)))
     )
     v_ss = np.empty((n + nz, n + nz))
     v_ss[:n, :n] = np.einsum("w,wab->ab", p, lf_xx)
@@ -231,7 +228,7 @@ def _cost_expansion(model: ProblemModel, xs, us, beta):
     p, jac, hess = softmax_derivatives(beta)
     points = [(xs[j], us[j], z) for j in range(m) for z in range(nz)]
     level = np.array([model.running_cost(*pt) for pt in points]).reshape(m, nz)
-    derivs = [running_cost_derivs(model, *pt) for pt in points]
+    derivs = [model.running_cost_derivatives(*pt) for pt in points]
     l_x, l_u, l_xx, l_xu, l_uu = (
         np.array([d[i] for d in derivs]).reshape((m, nz) + derivs[0][i].shape)
         for i in range(5)
@@ -261,7 +258,7 @@ def _insegment_jacobians(model: ProblemModel, xs, us, z: int) -> np.ndarray:
     jacs = np.zeros((us.shape[0], ns, ns + model.control_dim))
     jacs[:, n:, n:ns] = np.eye(nz)
     for j in range(us.shape[0]):
-        jacs[j, :n, :n], jacs[j, :n, ns:] = dynamics_jacs(model, xs[j], us[j], z)
+        jacs[j, :n, :n], jacs[j, :n, ns:] = model.dynamics_jacobians(xs[j], us[j], z)
     return jacs
 
 
@@ -279,11 +276,11 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, z: int):
     n, nz, nu = model.state_dim, model.num_latents, model.control_dim
     ns = n + nz
     x_next = np.asarray(model.dynamics_mean(x, u, z), dtype=float)
-    f_x, f_u = dynamics_jacs(model, x, u, z)
+    f_x, f_u = model.dynamics_jacobians(x, u, z)
     dx_next = np.hstack([f_x, f_u])  # d x'_z / d(x, u)
     o = np.atleast_1d(np.asarray(model.observation_mean(x_next, z), dtype=float))
     k = o.size
-    h_z = observation_jac(model, x_next, z)
+    h_z = model.observation_jacobian(x_next, z)
     noise = [model.observation_noise(x_next, w) for w in range(nz)]
     d_noise = numerical_jacobian(
         lambda xn: np.concatenate(
@@ -300,7 +297,7 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, z: int):
         cov_inv = np.linalg.inv(cov_matrix(noise[w], k))
         a = cov_inv @ (o - np.atleast_1d(mean))
         d_next = (
-            -a @ (h_z - observation_jac(model, x_next, w))
+            -a @ (h_z - model.observation_jacobian(x_next, w))
             + 0.5 * np.einsum("i,ijc,j->c", a, d_noise[w], a)
             - 0.5 * np.einsum("ij,jic->c", cov_inv, d_noise[w])
         )
@@ -310,7 +307,7 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, z: int):
             mean = np.asarray(model.dynamics_mean(x, u, w), dtype=float)
             loglik[w] += gaussian_log_density(x_next, mean, dyn_cov)
             a = np.linalg.solve(cov_matrix(dyn_cov, n), x_next - mean)
-            d_loglik[w] -= a @ (dx_next - np.hstack(dynamics_jacs(model, x, u, w)))
+            d_loglik[w] -= a @ (dx_next - np.hstack(model.dynamics_jacobians(x, u, w)))
 
     post = softmax(beta + loglik)
     # floor_probs clamps entries below the floor, which then stop moving.
@@ -512,7 +509,7 @@ def solve(
     `max_iterations`, or an exhausted line search at the regularization cap;
     the last two return the best tree so far with `converged=False`. The
     returned tree carries the gains and value models of a backward pass on
-    itself, with lambda escalated as far as `regularization_max`; when even
+    itself, with lambda escalated as far as `REGULARIZATION_MAX`; when even
     that fails it carries none.
     """
     seg = config.segment_lengths()
@@ -520,12 +517,12 @@ def solve(
         u_init = _zero_controls(seg, model.num_latents, model.control_dim)
     tree = forward_pass(model, x0, b0, u_init, None, None, 1.0, seg)
     cost = evaluate_tree_cost(model, tree)
-    lam = config.regularization_init
+    lam = REGULARIZATION_INIT
     log: List[dict] = []
     converged = False
 
     for it in range(1, config.max_iterations + 1):
-        step = _regularized_backward_pass(model, tree, lam, config)
+        step = _regularized_backward_pass(model, tree, lam)
         if step is None:
             return _finish(tree, GainSchedule(), {}, log, False, cost)
         gains, vms, lam = step
@@ -535,7 +532,7 @@ def solve(
             return _finish(tree, gains, vms, log, True, cost)
 
         accepted = None
-        for alpha in config.alpha_schedule:
+        for alpha in ALPHA_SCHEDULE:
             # A trial that diverges, or whose cost overflows, is rejected.
             try:
                 cand = forward_pass(
@@ -549,38 +546,38 @@ def solve(
                 break
 
         if accepted is None:
-            lam *= config.regularization_factor
+            lam *= REGULARIZATION_FACTOR
             log.append(_log_row(it, cost, 0.0, lam, grad_norm))
-            if lam > config.regularization_max:
+            if lam > REGULARIZATION_MAX:
                 break
             continue
 
         alpha, tree, new_cost = accepted
         rel = (cost - new_cost) / max(1.0, abs(cost))
         cost = new_cost
-        lam = max(lam / 2.0, config.regularization_min)
+        lam = max(lam / 2.0, REGULARIZATION_MIN)
         log.append(_log_row(it, cost, alpha, lam, grad_norm))
         if rel < config.cost_tolerance:
             converged = True
             break
 
     # Gains and value models of the final nominal tree, not of its parent.
-    step = _regularized_backward_pass(model, tree, lam, config)
+    step = _regularized_backward_pass(model, tree, lam)
     gains, vms = (GainSchedule(), {}) if step is None else step[:2]
     return _finish(tree, gains, vms, log, converged, cost)
 
 
-def _regularized_backward_pass(model, tree, lam, config: SolverConfig):
-    """`backward_pass` at `lam`, multiplying it by `regularization_factor`
+def _regularized_backward_pass(model, tree, lam):
+    """`backward_pass` at `lam`, multiplying it by `REGULARIZATION_FACTOR`
     on failure. Returns (gains, value models, lam), or None once lam passes
-    `regularization_max`."""
+    `REGULARIZATION_MAX`."""
     while True:
         try:
             gains, vms = backward_pass(model, tree, lam)
             return gains, vms, lam
         except BackwardFailureError:
-            lam *= config.regularization_factor
-            if lam > config.regularization_max:
+            lam *= REGULARIZATION_FACTOR
+            if lam > REGULARIZATION_MAX:
                 return None
 
 

@@ -10,7 +10,6 @@ node.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
@@ -25,10 +24,6 @@ class StructuralCorruptionError(RuntimeError):
 
 def history_string(h: HistoryPath) -> str:
     return "".join(str(z) for z in h)
-
-
-def history_from_string(s: str) -> HistoryPath:
-    return tuple(int(c) for c in s)
 
 
 def node_count(num_latents: int, num_branch_levels: int) -> int:
@@ -148,29 +143,3 @@ def tree_to_dict(tree: TrajectoryTree) -> dict:
         "segment_lengths": list(tree.segment_lengths),
         "nodes": nodes,
     }
-
-
-def tree_from_dict(data: dict) -> TrajectoryTree:
-    tree = TrajectoryTree(
-        num_latents=int(data["num_latents"]),
-        segment_lengths=tuple(int(m) for m in data["segment_lengths"]),
-    )
-    for key, node in data["nodes"].items():
-        h = history_from_string(key)
-        tree.controls[h] = np.asarray(node["controls"], dtype=float)
-        tree.xs[h] = np.asarray(node["states"], dtype=float)
-        tree.betas[h] = np.asarray(node["state_logits"], dtype=float)
-        tree.beliefs[h] = np.asarray(node["belief"], dtype=float)
-        for step, k in node.get("gains_open", {}).items():
-            tree.gains_open[(h, int(step))] = np.asarray(k, dtype=float)
-        for step, K in node.get("gains_feedback", {}).items():
-            tree.gains_feedback[(h, int(step))] = np.asarray(K, dtype=float)
-    return tree
-
-
-def tree_to_json(tree: TrajectoryTree) -> str:
-    return json.dumps(tree_to_dict(tree), sort_keys=True)
-
-
-def tree_from_json(text: str) -> TrajectoryTree:
-    return tree_from_dict(json.loads(text))

@@ -14,7 +14,46 @@ import numpy as np
 import pytest
 
 from poddp.belief import LatentSet
-from poddp.model import ProblemModel
+from poddp.model import FD_REL_STEP, DifferentiationError, ProblemModel
+
+# Wider step for differentiating a finite-difference gradient a second time:
+# the inner gradient carries ~1e-11 roundoff, so the outer step must be large
+# enough not to amplify it.
+FD_HESS_REL_STEP = 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference oracles
+
+
+def numerical_gradient(f, point) -> np.ndarray:
+    """Central-difference gradient of a scalar function."""
+    p = np.asarray(point, dtype=float)
+    h = FD_REL_STEP * np.maximum(1.0, np.abs(p))
+    g = np.zeros_like(p)
+    for i in range(p.size):
+        dp = np.zeros_like(p)
+        dp[i] = h[i]
+        hi = float(f(p + dp))
+        lo = float(f(p - dp))
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise DifferentiationError(
+                f"non-finite evaluation while differentiating coordinate {i}"
+            )
+        g[i] = (hi - lo) / (2.0 * h[i])
+    return g
+
+
+def symmetrize(h: np.ndarray) -> np.ndarray:
+    return 0.5 * (h + h.T)
+
+
+def scenario_with_overrides(name: str, overrides: dict):
+    """A shipped scenario with some of its config keys set to new values."""
+    from poddp.scenarios import build_scenario
+    from poddp.scenarios.config import apply_overrides, default_config
+
+    return build_scenario(name, apply_overrides(default_config(name), overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +96,10 @@ def riccati_optimal_cost(p: LQRProblem) -> float:
 
 
 def lqr_problem_model(p: LQRProblem) -> ProblemModel:
+    n, nu = p.b.shape
     return ProblemModel(
-        state_dim=p.a.shape[0],
-        control_dim=p.b.shape[1],
+        state_dim=n,
+        control_dim=nu,
         obs_dim=1,
         latents=LatentSet(("only",)),
         dynamics_mean=lambda x, u, z: p.a @ x + p.b @ u,
@@ -67,7 +107,12 @@ def lqr_problem_model(p: LQRProblem) -> ProblemModel:
         observation_noise=lambda x, z: np.ones(1),
         running_cost=lambda x, u, z: float(0.5 * x @ p.q @ x + 0.5 * u @ p.r @ u),
         final_cost=lambda x, z: float(0.5 * x @ p.qf @ x),
-        dt=1.0,
+        dynamics_jacobians=lambda x, u, z: (p.a, p.b),
+        observation_jacobian=lambda x, z: np.zeros((1, n)),
+        running_cost_derivatives=lambda x, u, z: (
+            p.q @ x, p.r @ u, p.q, np.zeros((n, nu)), p.r
+        ),
+        final_cost_derivatives=lambda x, z: (p.qf @ x, p.qf),
     )
 
 
@@ -76,55 +121,13 @@ def lqr_problem_model(p: LQRProblem) -> ProblemModel:
 
 
 def _ref_running_derivs(model: ProblemModel, x, u):
-    from poddp.model import (
-        FD_HESS_REL_STEP,
-        numerical_gradient,
-        numerical_jacobian,
-        symmetrize,
-    )
-
-    if model.running_cost_derivatives is not None:
-        l_x, l_u, l_xx, l_xu, l_uu = model.running_cost_derivatives(x, u, 0)
-        return (
-            np.asarray(l_x, float),
-            np.asarray(l_u, float),
-            symmetrize(np.asarray(l_xx, float)),
-            np.asarray(l_xu, float),
-            symmetrize(np.asarray(l_uu, float)),
-        )
-    gx = lambda xx, uu: numerical_gradient(lambda pt: model.running_cost(pt, uu, 0), xx)
-    gu = lambda xx, uu: numerical_gradient(lambda pt: model.running_cost(xx, pt, 0), uu)
-    l_x, l_u = gx(x, u), gu(x, u)
-    l_xx = symmetrize(numerical_jacobian(lambda xx: gx(xx, u), x, FD_HESS_REL_STEP))
-    l_xu = numerical_jacobian(lambda uu: gx(x, uu), u, FD_HESS_REL_STEP)
-    l_uu = symmetrize(numerical_jacobian(lambda uu: gu(x, uu), u, FD_HESS_REL_STEP))
-    return l_x, l_u, l_xx, l_xu, l_uu
-
-
-def _ref_dynamics_jacs(model: ProblemModel, x, u):
-    from poddp.model import numerical_jacobian
-
-    if model.dynamics_jacobians is not None:
-        f_x, f_u = model.dynamics_jacobians(x, u, 0)
-        return np.asarray(f_x, float), np.asarray(f_u, float)
-    f_x = numerical_jacobian(lambda xx: model.dynamics_mean(xx, u, 0), x)
-    f_u = numerical_jacobian(lambda uu: model.dynamics_mean(x, uu, 0), u)
-    return f_x, f_u
+    l_x, l_u, l_xx, l_xu, l_uu = model.running_cost_derivatives(x, u, 0)
+    return l_x, l_u, symmetrize(l_xx), l_xu, symmetrize(l_uu)
 
 
 def _ref_final_derivs(model: ProblemModel, x):
-    from poddp.model import (
-        FD_HESS_REL_STEP,
-        numerical_gradient,
-        numerical_jacobian,
-        symmetrize,
-    )
-
-    if model.final_cost_derivatives is not None:
-        lf_x, lf_xx = model.final_cost_derivatives(x, 0)
-        return np.asarray(lf_x, float), symmetrize(np.asarray(lf_xx, float))
-    g = lambda xx: numerical_gradient(lambda pt: model.final_cost(pt, 0), xx)
-    return g(x), symmetrize(numerical_jacobian(g, x, FD_HESS_REL_STEP))
+    lf_x, lf_xx = model.final_cost_derivatives(x, 0)
+    return lf_x, symmetrize(lf_xx)
 
 
 def ref_rollout(model: ProblemModel, x0, us):
@@ -146,7 +149,7 @@ def ref_backward(model: ProblemModel, xs, us, lam: float):
     ks: List[np.ndarray] = [None] * n
     bigks: List[np.ndarray] = [None] * n
     for j in reversed(range(n)):
-        f_x, f_u = _ref_dynamics_jacs(model, xs[j], us[j])
+        f_x, f_u = model.dynamics_jacobians(xs[j], us[j], 0)
         l_x, l_u, l_xx, l_xu, l_uu = _ref_running_derivs(model, xs[j], us[j])
         q_x = l_x + f_x.T @ v_x
         q_u = l_u + f_u.T @ v_x
@@ -248,7 +251,12 @@ def make_latent_linear_model(nz: int, seed=3) -> ProblemModel:
         observation_noise=lambda x, z: np.ones(1),
         running_cost=lambda x, u, z: float(0.5 * x @ x + 0.5 * u @ u),
         final_cost=lambda x, z: float(x @ x),
-        dt=1.0,
+        dynamics_jacobians=lambda x, u, z: (a, b),
+        observation_jacobian=lambda x, z: np.array([[0.3, 0.0]]),
+        running_cost_derivatives=lambda x, u, z: (
+            x, u, np.eye(n), np.zeros((n, nu)), np.eye(nu)
+        ),
+        final_cost_derivatives=lambda x, z: (2.0 * x, 2.0 * np.eye(n)),
     )
 
 

@@ -15,7 +15,7 @@ from poddp.baselines import PlannerKind, plan
 from poddp.belief import Belief, bayes_update
 from poddp.harness import execute_episode, run_batch, welch_t
 from poddp.model import condition_on_latent
-from poddp.scenarios import build_scenario, scenario_with_overrides
+from poddp.scenarios import build_scenario
 from poddp.scenarios import lane_change, terrain, tmaze
 from poddp.solver import SolverConfig, evaluate_tree_cost, solve
 from poddp.tree import node_count
@@ -26,6 +26,7 @@ from conftest import (
     make_lqr_problem,
     ref_ddp_solve,
     riccati_optimal_cost,
+    scenario_with_overrides,
 )
 from test_solver import _check_q_derivs
 
@@ -243,14 +244,15 @@ def test_criterion_06_tmaze_contingency(tmaze_solved):
 
 def test_criterion_07_terrain_exploration(terrain_solved):
     sc, result = terrain_solved
-    cfg = terrain.config_from_dict(sc.config)
+    cfg = terrain.TerrainConfig.from_dict(sc.config)
+    goal = np.array([cfg.goal_x, cfg.goal_y])
     tree = result.tree
     root_lateral = float(np.mean(tree.xs[()][:, 1]) - sc.initial_state[1])
     smooth_branch_max_py = float(np.max(tree.xs[(terrain.SMOOTH,)][:, 1]))
     rough_entry = tree.xs[(terrain.ROUGH,)][0]
     rough_final = tree.xs[(terrain.ROUGH,)][-1]
-    d_entry = float(np.linalg.norm(rough_entry[:2] - cfg.goal))
-    d_final = float(np.linalg.norm(rough_final[:2] - cfg.goal))
+    d_entry = float(np.linalg.norm(rough_entry[:2] - goal))
+    d_final = float(np.linalg.norm(rough_final[:2] - goal))
     behavior_ok = (
         root_lateral > 0.0
         and smooth_branch_max_py > cfg.transition_y

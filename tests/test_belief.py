@@ -89,7 +89,12 @@ def _stub_model(obs_means, obs_vars=None, nz=None):
         observation_noise=lambda x, z: obs_vars[z],
         running_cost=lambda x, u, z: 0.0,
         final_cost=lambda x, z: 0.0,
-        dt=1.0,
+        dynamics_jacobians=lambda x, u, z: (np.eye(1), np.zeros((1, 1))),
+        observation_jacobian=lambda x, z: np.zeros((1, 1)),
+        running_cost_derivatives=lambda x, u, z: (
+            np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))
+        ),
+        final_cost_derivatives=lambda x, z: (np.zeros(1), np.zeros((1, 1))),
     )
 
 

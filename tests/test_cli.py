@@ -123,3 +123,67 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def _tmaze_config_file(tmp_path, edit):
+    """The shipped tmaze config, changed by `edit`, written to a file."""
+    from poddp.scenarios.config import default_config
+
+    cfg = edit(default_config("tmaze"))
+    path = tmp_path / "tmaze.cfg"
+    path.write_text("".join(f"{k} = {v!r}\n" for k, v in cfg.items()))
+    return path
+
+
+def test_config_file_missing_key_is_an_error(tmp_path, capsys):
+    def drop(cfg):
+        del cfg["goal_forward"]
+        return cfg
+
+    path = _tmaze_config_file(tmp_path, drop)
+    rc = main(["solve", "--experiment", "tmaze", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "goal_forward" in err
+    assert not (tmp_path / "solve_tmaze_poddp.json").exists()
+
+
+def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
+    path = _tmaze_config_file(tmp_path, lambda cfg: dict(cfg, goal_fowrard=99))
+    rc = main(["solve", "--experiment", "tmaze", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "goal_fowrard" in err
+    assert not (tmp_path / "solve_tmaze_poddp.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("dt", "abc"), ("horizon", "inf")])
+def test_config_value_of_the_wrong_type_names_its_key(key, value, tmp_path, capsys):
+    args = ["solve", "--experiment", "tmaze", "--set", f"{key}={value}"]
+    rc = main(args + ["--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err and value in err
+
+
+def test_sweep_levels_match_plain_benchmarks(tmp_path, monkeypatch):
+    # Each sweep level reports the summary rows that a plain benchmark run
+    # at that sigma level and seed writes.
+    import poddp.cli
+
+    levels = (0.1, 9.1)
+    monkeypatch.setattr(poddp.cli, "SIGMA_LEVELS", levels)
+    common = ["benchmark", "--experiment", "tmaze", "--planners", "mlddp,pwddp",
+              "--n", "2", "--seed", "0"]
+    assert main(common + ["--sweep", "--out", str(tmp_path / "sweep")]) == 0
+    sweep = json.loads((tmp_path / "sweep" / "tmaze_sweep_summary.json").read_text())
+    assert [level["sigma_level"] for level in sweep["levels"]] == list(levels)
+    for level in sweep["levels"]:
+        out = tmp_path / f"plain_{level['sigma_level']}"
+        args = common + ["--sigma-level", str(level["sigma_level"]), "--out", str(out)]
+        assert main(args) == 0
+        plain = json.loads((out / "tmaze_summary.json").read_text())
+        assert level["summaries"] == plain["summaries"]
+        assert level["comparisons"] == plain["comparisons"]

@@ -10,14 +10,15 @@ from poddp.harness import (
     episode_streams,
     execute_episode,
     run_batch,
-    trace_to_dict,
     welch_t,
     write_episodes_csv,
     write_summary_json,
 )
 from poddp.model import condition_on_latent
-from poddp.scenarios import build_scenario, scenario_with_overrides
+from poddp.scenarios import build_scenario
 from poddp.solver import SolverConfig, evaluate_tree_cost, solve
+
+from conftest import scenario_with_overrides
 
 
 def _deterministic_chain_scenario():
@@ -130,8 +131,7 @@ def test_tmaze_low_noise_reaches_true_goal_all_planners():
     )
     from poddp.scenarios import tmaze
 
-    cfg = tmaze.config_from_dict(sc.config)
-    goal = cfg.goal(tmaze.LEFT)
+    goal = tmaze.goals(tmaze.TMazeConfig.from_dict(sc.config))[tmaze.LEFT]
     for kind in PlannerKind:
         trace = execute_episode(
             kind, sc.model, sc.initial_state, sc.prior, tmaze.LEFT, seed=3,
@@ -263,16 +263,3 @@ def test_summary_json_layout(tmp_path):
     row = payload["summaries"][0]
     assert set(row) == {"planner", "n", "mean", "stderr", "stderr_flag"}
 
-
-def test_trace_to_dict_round_trip_fields():
-    sc = build_scenario("terrain")
-    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=5)
-    tr = execute_episode(
-        PlannerKind.MLDDP, sc.model, sc.initial_state, sc.prior, 0, seed=0,
-        config=config, control_low=sc.control_low, control_high=sc.control_high,
-    )
-    d = trace_to_dict(tr)
-    assert d["seed"] == 0
-    assert d["planner"] == "mlddp"
-    assert len(d["steps"]) == len(tr.steps)
-    assert d["cumulative_cost"] == tr.cumulative_cost

@@ -1,20 +1,13 @@
 """Problem-model derivatives: numerical differentiation and scenario Jacobians."""
 
-from dataclasses import replace
-
 import numpy as np
 
-from poddp.model import (
-    ProblemModel,
-    dynamics_jacs,
-    numerical_gradient,
-    numerical_jacobian,
-    observation_jac,
-    running_cost_derivs,
-)
+from poddp.model import ProblemModel, numerical_jacobian
 from poddp.belief import LatentSet
 from poddp.scenarios import build_scenario
 from poddp.scenarios.vehicle import PX, BicycleParams, bicycle_jacobians, bicycle_step
+
+from conftest import FD_HESS_REL_STEP, numerical_gradient, symmetrize
 
 
 def test_numerical_jacobian_linear_exact():
@@ -43,50 +36,58 @@ def _quadratic_model(q, r):
         observation_noise=lambda x, z: np.ones(1),
         running_cost=lambda x, u, z: float(0.5 * x @ q @ x + 0.5 * u @ r @ u),
         final_cost=lambda x, z: float(0.5 * x @ q @ x),
-        dt=1.0,
+        dynamics_jacobians=lambda x, u, z: (0.9 * np.eye(n), np.zeros((n, nu))),
+        observation_jacobian=lambda x, z: np.zeros((1, n)),
+        running_cost_derivatives=lambda x, u, z: (q @ x, r @ u, q, np.zeros((n, nu)), r),
+        final_cost_derivatives=lambda x, z: (q @ x, q),
     )
 
 
 def test_quadratic_cost_derivatives_exact():
+    # The finite-difference oracles the tests check derivatives against
+    # recover a quadratic's exact derivatives.
     rng = np.random.default_rng(2)
     q = np.diag([1.0, 2.0, 0.5])
     r = np.diag([0.3, 1.5])
     model = _quadratic_model(q, r)
     x, u = rng.standard_normal(3), rng.standard_normal(2)
-    l_x, l_u, l_xx, _, l_uu = running_cost_derivs(model, x, u, 0)
-    np.testing.assert_allclose(l_x, q @ x, atol=1e-8)
-    np.testing.assert_allclose(l_u, r @ u, atol=1e-8)
-    np.testing.assert_allclose(l_xx, q, atol=1e-8)
-    np.testing.assert_allclose(l_uu, r, atol=1e-8)
+    grad_x = lambda xx: numerical_gradient(lambda p: model.running_cost(p, u, 0), xx)
+    grad_u = lambda uu: numerical_gradient(lambda p: model.running_cost(x, p, 0), uu)
+    l_xx = symmetrize(numerical_jacobian(grad_x, x, FD_HESS_REL_STEP))
+    l_uu = symmetrize(numerical_jacobian(grad_u, u, FD_HESS_REL_STEP))
+    exact = model.running_cost_derivatives(x, u, 0)
+    for got, want in zip((grad_x(x), grad_u(u), l_xx, l_uu), exact[:3] + exact[4:]):
+        np.testing.assert_allclose(got, want, atol=1e-8)
 
 
-def test_z_independent_dynamics_identical_jacobians():
-    model = _quadratic_model(np.eye(2), np.eye(1))
-    x, u = np.array([0.4, -1.2]), np.array([0.7])
-    f_x0, f_u0 = dynamics_jacs(model, x, u, 0)
-    f_x1, f_u1 = dynamics_jacs(model, x, u, 1)
+def test_z_independent_dynamics_identical_jacobians(tmaze_scenario):
+    model = tmaze_scenario.model
+    x, u = np.array([0.4, 5.0, 1.4, 7.0]), np.array([0.1, -0.5])
+    f_x0, f_u0 = model.dynamics_jacobians(x, u, 0)
+    f_x1, f_u1 = model.dynamics_jacobians(x, u, 1)
     np.testing.assert_array_equal(f_x0, f_x1)
     np.testing.assert_array_equal(f_u0, f_u1)
 
 
 def test_derivative_providers_deterministic():
-    model = _quadratic_model(np.eye(2), np.eye(1))
-    x, u = np.array([0.4, -1.2]), np.array([0.7])
-    first = dynamics_jacs(model, x, u, 0) + running_cost_derivs(model, x, u, 0)
-    second = dynamics_jacs(model, x, u, 0) + running_cost_derivs(model, x, u, 0)
-    for a, b in zip(first, second):
-        np.testing.assert_array_equal(a, b)
+    # The callbacks return constant arrays built once per scenario; a call
+    # that wrote into one would change the next call's result.
+    for name in ("tmaze", "terrain", "lanechange"):
+        sc = build_scenario(name)
+        model = sc.model
+        x, u = np.array(sc.initial_state, dtype=float), np.array([0.1, 0.2])
+        x[1] += 1.0
 
+        def providers():
+            return (
+                model.dynamics_jacobians(x, u, 0)
+                + model.running_cost_derivatives(x, u, 0)
+                + model.final_cost_derivatives(x, 0)
+            )
 
-def test_observation_jacobian_fallback_matches_provider():
-    g = np.array([[0.5, -2.0]])
-    model = _quadratic_model(np.eye(2), np.eye(1))
-    nonlinear = lambda x, z: np.array([0.5 * x[0] - x[1] ** 2 + z])
-    x = np.array([0.4, 1.0])
-    fallback = replace(model, observation_mean=nonlinear)
-    provided = replace(fallback, observation_jacobian=lambda x, z: g)
-    np.testing.assert_allclose(observation_jac(fallback, x, 1), g, atol=1e-9)
-    np.testing.assert_array_equal(observation_jac(provided, x, 1), g)
+        first = [np.array(a) for a in providers()]
+        for a, b in zip(first, providers()):
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def test_bicycle_analytic_jacobian_matches_numerical():
@@ -135,6 +136,9 @@ def test_scenario_jacobians_match_numerical():
             num_fu = numerical_jacobian(lambda uu: model.dynamics_mean(x, uu, z), u)
             assert _rel_err(f_x, num_fx) < 1e-4, name
             assert _rel_err(f_u, num_fu) < 1e-4, name
+            g_x = model.observation_jacobian(x, z)
+            num_gx = numerical_jacobian(lambda xx: model.observation_mean(xx, z), x)
+            assert _rel_err(g_x, num_gx) < 1e-4, name
 
 
 def test_scenario_cost_gradients_match_numerical():

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from poddp.belief import Belief
-from poddp.model import numerical_gradient
-from poddp.scenarios import build_scenario, scenario_with_overrides
+from poddp.scenarios import build_scenario
 from poddp.scenarios import lane_change, terrain, tmaze
 from poddp.scenarios.config import ConfigError, apply_overrides, config_hash, default_config, parse_config
-from poddp.scenarios.idm import IDMParams, idm_accel, idm_accel_with_partials
+from poddp.scenarios.idm import IDMParams, idm_accel_with_partials
 from poddp.scenarios.vehicle import (
     PX,
     PY,
@@ -26,6 +25,8 @@ from poddp.scenarios.vehicle import (
 )
 from poddp.scenarios.lane_change import LON_O, V_O
 from poddp.solver import SolverConfig, solve
+
+from conftest import numerical_gradient, scenario_with_overrides
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,7 @@ def test_bicycle_saturates_at_limits():
 
 
 def test_tmaze_observation_variance_decays(tmaze_scenario):
-    cfg = tmaze.config_from_dict(tmaze_scenario.config)
+    cfg = tmaze.TMazeConfig.from_dict(tmaze_scenario.config)
     end_var = tmaze.observation_variance(cfg, cfg.goal_forward)
     assert end_var <= 0.01 * cfg.sigma_level ** 2
 
@@ -163,19 +164,19 @@ def test_tmaze_latent_swap_mirrors_solution():
 
 
 def test_terrain_rough_resistance_constant(terrain_scenario):
-    cfg = terrain.config_from_dict(terrain_scenario.config)
+    cfg = terrain.TerrainConfig.from_dict(terrain_scenario.config)
     values = [terrain.resistance_coefficient(cfg, py, terrain.ROUGH)[0] for py in (-5.0, 0.0, 3.0, 10.0)]
     assert all(v == values[0] for v in values)
 
 
 def test_terrain_zero_speed_no_resistance(terrain_scenario):
-    cfg = terrain.config_from_dict(terrain_scenario.config)
+    cfg = terrain.TerrainConfig.from_dict(terrain_scenario.config)
     for z in (terrain.SMOOTH, terrain.ROUGH):
         assert terrain.resistive_decel(cfg, 0.0, 0.0, z) == 0.0
 
 
 def test_terrain_resistive_decel_oracle(terrain_scenario):
-    cfg = terrain.config_from_dict(dict(terrain_scenario.config, rho_rough=2.0))
+    cfg = terrain.TerrainConfig.from_dict(dict(terrain_scenario.config, rho_rough=2.0))
     r = terrain.resistive_decel(cfg, 0.0, 1.0, terrain.ROUGH)
     assert abs(r - 2.0 * np.tanh(1.0)) < 1e-10
     assert abs(r - 1.5232) < 1e-3
@@ -206,7 +207,7 @@ def test_terrain_smooth_no_costlier_than_rough(terrain_scenario):
     # from the goal can invert this, so the sampled family is goal-directed.
     sc = terrain_scenario
     model = sc.model
-    cfg = terrain.config_from_dict(sc.config)
+    cfg = terrain.TerrainConfig.from_dict(sc.config)
     rng = np.random.default_rng(4)
     horizon = sc.horizon
     third = horizon // 3
@@ -253,17 +254,18 @@ def _example_params(**kw):
 
 def test_idm_free_road_equilibrium():
     p = _example_params()
-    assert abs(idm_accel(0.0, 0.0, -30.0, 15.0, 0.0, p)) < 1e-12
+    assert abs(idm_accel_with_partials(0.0, 0.0, -30.0, 15.0, 0.0, p)[0]) < 1e-12
 
 
 def test_idm_free_road_from_rest():
     p = _example_params()
-    assert abs(idm_accel(0.0, 0.0, -30.0, 0.0, 0.0, p) - p.max_accel) < 1e-12
+    a = idm_accel_with_partials(0.0, 0.0, -30.0, 0.0, 0.0, p)[0]
+    assert abs(a - p.max_accel) < 1e-12
 
 
 def test_idm_worked_example():
     p = _example_params()
-    a = idm_accel(20.0, 10.0, 0.0, 10.0, 1.0, p)
+    a = idm_accel_with_partials(20.0, 10.0, 0.0, 10.0, 1.0, p)[0]
     assert abs(a - IDM_EXAMPLE_ORACLE) < 2e-3
 
 
@@ -279,7 +281,7 @@ def test_idm_partials_match_finite_differences():
             rng.uniform(0, 1),      # overlap
         ])
         _, partials = idm_accel_with_partials(*pt, p)
-        f = lambda v: idm_accel(v[0], v[1], v[2], v[3], v[4], p)
+        f = lambda v: idm_accel_with_partials(v[0], v[1], v[2], v[3], v[4], p)[0]
         fd = numerical_gradient(f, pt)
         assert np.max(np.abs(partials - fd)) < 1e-5
 
@@ -292,7 +294,7 @@ def test_idm_monotone_in_closing_speed():
     p = _example_params()
     gap, other_v = 15.0, 12.0
     accels = [
-        idm_accel(gap, ego_v, 0.0, other_v, 1.0, p)
+        idm_accel_with_partials(gap, ego_v, 0.0, other_v, 1.0, p)[0]
         for ego_v in np.linspace(17.0, 0.0, 25)
     ]
     diffs = np.diff(accels)

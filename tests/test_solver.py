@@ -8,13 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poddp.belief import BELIEF_FLOOR, Belief, LatentSet, bayes_update, softmax
-from poddp.model import (
-    FD_HESS_REL_STEP,
-    ProblemModel,
-    numerical_gradient,
-    numerical_jacobian,
-)
+from poddp.model import ProblemModel, numerical_jacobian
 from poddp.solver import (
+    REGULARIZATION_FACTOR,
+    REGULARIZATION_MAX,
     BackwardFailureError,
     GainSchedule,
     SolverConfig,
@@ -34,9 +31,11 @@ from poddp.solver import (
 from poddp.tree import TrajectoryTree
 
 from conftest import (
+    FD_HESS_REL_STEP,
     lqr_problem_model,
     make_latent_linear_model,
     make_lqr_problem,
+    numerical_gradient,
     ref_backward,
     ref_ddp_solve,
     ref_rollout,
@@ -127,7 +126,9 @@ def test_forward_pass_branch_beliefs_replay_bayes(tmaze_scenario):
 # Tree cost
 
 
-def _constant_cost_model(running, final):
+def _linear_cost_model(slope):
+    """x' = x; running and final cost both `slope` * x."""
+    zero = np.zeros((1, 1))
     return ProblemModel(
         state_dim=1,
         control_dim=1,
@@ -136,14 +137,19 @@ def _constant_cost_model(running, final):
         dynamics_mean=lambda x, u, z: x,
         observation_mean=lambda x, z: np.zeros(1),
         observation_noise=lambda x, z: np.ones(1),
-        running_cost=running,
-        final_cost=final,
-        dt=1.0,
+        running_cost=lambda x, u, z: slope * float(x[0]),
+        final_cost=lambda x, z: slope * float(x[0]),
+        dynamics_jacobians=lambda x, u, z: (np.eye(1), zero),
+        observation_jacobian=lambda x, z: zero,
+        running_cost_derivatives=lambda x, u, z: (
+            np.array([slope]), np.zeros(1), zero, zero, zero
+        ),
+        final_cost_derivatives=lambda x, z: (np.array([slope]), zero),
     )
 
 
 def test_evaluate_tree_cost_zero_costs():
-    model = _constant_cost_model(lambda x, u, z: 0.0, lambda x, z: 0.0)
+    model = _linear_cost_model(0.0)
     tree = TrajectoryTree(num_latents=2, segment_lengths=(1, 1))
     tree.controls = {(): np.zeros((1, 1)), (0,): np.zeros((1, 1)), (1,): np.zeros((1, 1))}
     tree.xs = {(): np.zeros((1, 1)), (0,): np.zeros((2, 1)), (1,): np.zeros((2, 1))}
@@ -154,9 +160,7 @@ def test_evaluate_tree_cost_zero_costs():
 def test_evaluate_tree_cost_hand_example():
     # Shared segment costs 5; branch totals (running + final) are 10 and 20;
     # root belief (0.3, 0.7) gives 5 + 0.3*10 + 0.7*20 = 22.
-    model = _constant_cost_model(
-        lambda x, u, z: float(x[0]), lambda x, z: float(x[0])
-    )
+    model = _linear_cost_model(1.0)
     tree = TrajectoryTree(num_latents=2, segment_lengths=(1, 1))
     tree.controls = {(): np.zeros((1, 1)), (0,): np.zeros((1, 1)), (1,): np.zeros((1, 1))}
     tree.xs = {
@@ -200,7 +204,12 @@ def test_evaluate_tree_cost_latent_permutation_invariant(tmaze_scenario):
         observation_noise=lambda x, z: model.observation_noise(x, perm[z]),
         running_cost=lambda x, u, z: model.running_cost(x, u, perm[z]),
         final_cost=lambda x, z: model.final_cost(x, perm[z]),
-        dt=model.dt,
+        dynamics_jacobians=lambda x, u, z: model.dynamics_jacobians(x, u, perm[z]),
+        observation_jacobian=lambda x, z: model.observation_jacobian(x, perm[z]),
+        running_cost_derivatives=(
+            lambda x, u, z: model.running_cost_derivatives(x, u, perm[z])
+        ),
+        final_cost_derivatives=lambda x, z: model.final_cost_derivatives(x, perm[z]),
     )
     swapped = TrajectoryTree(num_latents=2, segment_lengths=tree.segment_lengths)
     for h in tree.controls:
@@ -224,7 +233,7 @@ def _step_cost(model, x, beta, u):
 
 
 def test_optimize_control_zero_problem_gives_zero_gains():
-    model = _constant_cost_model(lambda x, u, z: 0.0, lambda x, z: 0.0)
+    model = _linear_cost_model(0.0)
     x, beta, u = np.zeros(1), np.log(np.array([0.5, 0.5])), np.zeros(1)
     cost = _step_cost(model, x, beta, u)
     k, gain, vm = optimize_control(model, x, beta, u, cost, None, lam=1e-6)
@@ -309,7 +318,7 @@ def test_converged_solve_has_small_open_loop_gains(lqr):
 
 
 def test_zero_cost_problem_converges_immediately():
-    model = _constant_cost_model(lambda x, u, z: 0.0, lambda x, z: 0.0)
+    model = _linear_cost_model(0.0)
     config = SolverConfig(horizon=4, segments=2, max_iterations=10)
     result = solve(model, np.zeros(1), Belief(np.array([0.5, 0.5])), config)
     assert result.converged
@@ -501,15 +510,18 @@ def _evidence_model(noise_scale):
         observation_noise=observation_noise,
         running_cost=lambda x, u, z: float(x @ x + u @ u),
         final_cost=lambda x, z: float(x @ x),
-        dt=0.1,
+        dynamics_jacobians=dynamics_jacobians,
+        observation_jacobian=observation_jacobian,
+        running_cost_derivatives=lambda x, u, z: (
+            2.0 * x, 2.0 * u, 2.0 * np.eye(2), np.zeros((2, 1)), 2.0 * np.eye(1)
+        ),
+        final_cost_derivatives=lambda x, z: (2.0 * x, 2.0 * np.eye(2)),
         dynamics_noise=[
             noise_scale * np.array([0.02, 0.03]),
             noise_scale * np.array([[0.03, 0.01], [0.01, 0.02]]),
             noise_scale * 0.025,
             None,
         ],
-        dynamics_jacobians=dynamics_jacobians,
-        observation_jacobian=observation_jacobian,
     )
 
 
@@ -629,8 +641,8 @@ def _latent_cost_scenario():
         observation_noise=lambda x, z: np.ones(1),
         running_cost=running_cost,
         final_cost=lambda x, z: float(x @ x),
-        dt=1.0,
         dynamics_jacobians=lambda x, u, z: (a, b),
+        observation_jacobian=lambda x, z: np.zeros((1, 2)),
         running_cost_derivatives=running_cost_derivatives,
         final_cost_derivatives=lambda x, z: (2.0 * x, 2.0 * np.eye(2)),
     )
@@ -756,8 +768,8 @@ def test_returned_gains_are_computed_on_the_returned_tree(name, request):
             gains, vms = backward_pass(sc.model, tree, lam)
             break
         except BackwardFailureError:
-            lam *= config.regularization_factor
-            assert lam <= config.regularization_max
+            lam *= REGULARIZATION_FACTOR
+            assert lam <= REGULARIZATION_MAX
     assert set(tree.gains_open) == set(gains.open)
     assert set(tree.gains_feedback) == set(gains.feedback)
     for key, k in gains.open.items():
@@ -806,8 +818,8 @@ def _blow_up_model(limit: float, mode: str):
         observation_noise=lambda x, z: np.ones(1),
         running_cost=running_cost,
         final_cost=lambda x, z: float((x[0] - 5.0) ** 2),
-        dt=1.0,
         dynamics_jacobians=lambda x, u, z: (np.eye(1), np.eye(1)),
+        observation_jacobian=lambda x, z: np.zeros((1, 1)),
         running_cost_derivatives=lambda x, u, z: (
             2.0 * (x - 5.0),
             0.02 * u,

@@ -1,20 +1,14 @@
 """Trajectory-tree structure, traversal, and serialization."""
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poddp.belief import Belief
 from poddp.solver import SolverConfig, forward_pass, solve
-from poddp.tree import (
-    history_from_string,
-    history_string,
-    iterate_depth_first,
-    node_count,
-    tree_from_json,
-    tree_to_dict,
-    tree_to_json,
-)
+from poddp.tree import history_string, iterate_depth_first, node_count, tree_to_dict
 
 from conftest import make_latent_linear_model
 
@@ -37,16 +31,21 @@ def test_node_count_matches_enumeration():
             assert node_count(nz, levels) == len(histories)
 
 
+def _history_from_string(s):
+    return tuple(int(c) for c in s)
+
+
 def test_history_string_round_trip():
     for h in [(), (0,), (1, 0), (2, 1, 0)]:
-        assert history_from_string(history_string(h)) == h
+        assert _history_from_string(history_string(h)) == h
     assert history_string(()) == ""
+    assert history_string((2, 1, 0)) == "210"
 
 
 @given(st.lists(st.integers(min_value=0, max_value=9), max_size=5).map(tuple))
 @settings(max_examples=30, deadline=None)
 def test_history_string_round_trip_property(h):
-    assert history_from_string(history_string(h)) == h
+    assert _history_from_string(history_string(h)) == h
 
 
 def _rolled_tree(nz: int, segments: int):
@@ -93,23 +92,33 @@ def test_post_order_children_before_parents():
 
 
 def test_serialization_round_trip_bit_exact(tmaze_scenario):
+    # The CLI writes trees through tree_to_dict and json; every float must
+    # come back bit for bit.
     sc = tmaze_scenario
     config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=3)
     result = solve(sc.model, sc.initial_state, sc.prior, config)
     tree = result.tree
-    back = tree_from_json(tree_to_json(tree))
-    assert back.num_latents == tree.num_latents
-    assert back.segment_lengths == tree.segment_lengths
-    assert set(back.controls) == set(tree.controls)
+    back = json.loads(json.dumps(tree_to_dict(tree)))
+    assert back["num_latents"] == tree.num_latents
+    assert tuple(back["segment_lengths"]) == tree.segment_lengths
+    assert set(back["nodes"]) == {history_string(h) for h in tree.controls}
     for h in tree.controls:
-        np.testing.assert_array_equal(back.controls[h], tree.controls[h])
-        np.testing.assert_array_equal(back.xs[h], tree.xs[h])
-        np.testing.assert_array_equal(back.betas[h], tree.betas[h])
-        np.testing.assert_array_equal(back.beliefs[h], tree.beliefs[h])
-    assert set(back.gains_open) == set(tree.gains_open)
-    for key in tree.gains_open:
-        np.testing.assert_array_equal(back.gains_open[key], tree.gains_open[key])
-        np.testing.assert_array_equal(back.gains_feedback[key], tree.gains_feedback[key])
+        node = back["nodes"][history_string(h)]
+        np.testing.assert_array_equal(node["controls"], tree.controls[h])
+        np.testing.assert_array_equal(node["states"], tree.xs[h])
+        np.testing.assert_array_equal(node["state_logits"], tree.betas[h])
+        np.testing.assert_array_equal(node["belief"], tree.beliefs[h])
+    assert tree.gains_open
+    for (h, step), k in tree.gains_open.items():
+        node = back["nodes"][history_string(h)]
+        np.testing.assert_array_equal(node["gains_open"][str(step)], k)
+        np.testing.assert_array_equal(
+            node["gains_feedback"][str(step)], tree.gains_feedback[(h, step)]
+        )
+    for h in tree.controls:
+        node = back["nodes"][history_string(h)]
+        steps = {(h, int(step)) for step in node.get("gains_open", {})}
+        assert steps == {key for key in tree.gains_open if key[0] == h}
 
 
 def test_tree_dict_layout(tmaze_scenario):
