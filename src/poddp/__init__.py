@@ -7,14 +7,7 @@ three driving benchmark scenarios (`poddp.scenarios`) and a seeded
 closed-loop evaluation harness (`poddp.harness`).
 """
 
-from .belief import (
-    Belief,
-    BeliefLogits,
-    LatentSet,
-    bayes_update,
-    belief_from_logits,
-    logits_from_belief,
-)
+from .belief import Belief, bayes_update, logits
 from .model import ProblemModel, numerical_jacobian
 from .solver import (
     GainSchedule,
@@ -26,15 +19,12 @@ from .solver import (
     optimize_control,
     solve,
 )
-from .tree import QuadraticValueModel, TrajectoryTree, iterate_depth_first, node_count
+from .tree import QuadraticValueModel, TrajectoryTree
 
 __all__ = [
     "Belief",
-    "BeliefLogits",
-    "LatentSet",
     "bayes_update",
-    "belief_from_logits",
-    "logits_from_belief",
+    "logits",
     "ProblemModel",
     "numerical_jacobian",
     "GainSchedule",
@@ -47,6 +37,4 @@ __all__ = [
     "solve",
     "QuadraticValueModel",
     "TrajectoryTree",
-    "iterate_depth_first",
-    "node_count",
 ]

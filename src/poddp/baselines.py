@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .belief import Belief, LatentSet, logits_from_belief
+from .belief import Belief, logits
 from .model import ProblemModel, condition_on_latent
 from .solver import SolveResult, SolverConfig, solve
 
@@ -33,13 +33,11 @@ class ExecutablePlan:
 
     `control(t, x, b)` evaluates the planned control at in-segment step t
     with feedback on the realized state x and belief b; t counts from the
-    start of this plan. `exec_steps` is how many steps to execute before the
-    next observation/replan point.
+    start of this plan.
     """
 
     kind: PlannerKind
     result: SolveResult
-    exec_steps: int
     converged: bool
     planned_cost: float
     _control_fn: Callable[[int, np.ndarray, Belief], np.ndarray]
@@ -50,11 +48,11 @@ class ExecutablePlan:
 
 def _chain_config(config: SolverConfig) -> SolverConfig:
     """The same solver settings with a single-segment schedule."""
-    return replace(config, segments=1, boundaries=None)
+    return replace(config, segments=1)
 
 
 def _executable(
-    kind: PlannerKind, result: SolveResult, exec_steps: int, width: int, deviation
+    kind: PlannerKind, result: SolveResult, width: int, deviation
 ) -> ExecutablePlan:
     """The plan of a solve: the root node's controls, plus feedback
     K[:, :width] @ deviation(t, x, b) at the steps that have gains."""
@@ -70,7 +68,6 @@ def _executable(
     return ExecutablePlan(
         kind=kind,
         result=result,
-        exec_steps=exec_steps,
         converged=result.converged,
         planned_cost=result.cost,
         _control_fn=control_fn,
@@ -85,10 +82,10 @@ def poddp_plan(
     x_nom, beta_nom = tree.xs[ROOT], tree.betas[ROOT]
 
     def deviation(t, x, b):
-        return np.concatenate([x - x_nom[t], logits_from_belief(b).beta - beta_nom[t]])
+        return np.concatenate([x - x_nom[t], logits(b.probs) - beta_nom[t]])
 
     width = model.state_dim + model.num_latents
-    return _executable(PlannerKind.PODDP, result, tree.segment_lengths[0], width, deviation)
+    return _executable(PlannerKind.PODDP, result, width, deviation)
 
 
 def mlddp_plan(
@@ -102,12 +99,14 @@ def mlddp_plan(
     x_nom = result.tree.xs[ROOT]
     # the conditioned belief coordinate never deviates
     return _executable(
-        PlannerKind.MLDDP,
-        result,
-        config.segment_lengths()[0],
-        model.state_dim,
-        lambda t, x, b: x - x_nom[t],
+        PlannerKind.MLDDP, result, model.state_dim, lambda t, x, b: x - x_nom[t]
     )
+
+
+def _unobserved(xs, z):
+    """The observation callbacks of a stacked model: it is solved as a
+    one-segment chain, which never branches, so nothing observes it."""
+    raise NotImplementedError("a stacked model is never observed")
 
 
 def stacked_model(model: ProblemModel, b: Belief) -> ProblemModel:
@@ -173,15 +172,14 @@ def stacked_model(model: ProblemModel, b: Belief) -> ProblemModel:
     return ProblemModel(
         state_dim=n * nz,
         control_dim=model.control_dim,
-        obs_dim=model.obs_dim,
-        latents=LatentSet(("stacked",)),
+        num_latents=1,
         dynamics_mean=dynamics_mean,
-        observation_mean=lambda xs, z: np.zeros(model.obs_dim),
-        observation_noise=lambda xs, z: np.ones(model.obs_dim),
+        observation_mean=_unobserved,
+        observation_noise=_unobserved,
         running_cost=running_cost,
         final_cost=final_cost,
         dynamics_jacobians=dynamics_jacobians,
-        observation_jacobian=lambda xs, z: np.zeros((model.obs_dim, n * nz)),
+        observation_jacobian=_unobserved,
         running_cost_derivatives=running_cost_derivatives,
         final_cost_derivatives=final_cost_derivatives,
     )
@@ -198,11 +196,7 @@ def pwddp_plan(
     x_nom = result.tree.xs[ROOT]
     # every hypothesis copy sees the same realized state
     return _executable(
-        PlannerKind.PWDDP,
-        result,
-        config.segment_lengths()[0],
-        n * nz,
-        lambda t, x, b: np.tile(x, nz) - x_nom[t],
+        PlannerKind.PWDDP, result, n * nz, lambda t, x, b: np.tile(x, nz) - x_nom[t]
     )
 
 

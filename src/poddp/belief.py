@@ -1,7 +1,7 @@
 """Discrete-latent belief representation and Bayesian updating.
 
-Beliefs over the latent set are carried in two forms: a probability vector
-(`Belief`) and an unconstrained logit vector (`BeliefLogits`) related by a
+Beliefs over the latent values are carried in two forms: a probability
+vector (`Belief`) and an unconstrained logit vector (`logits`) related by a
 softmax. The solver differentiates through the logit parameterization, so
 perturbations never leave the probability simplex.
 """
@@ -23,29 +23,8 @@ class DegenerateEvidenceError(ValueError):
 
 
 @dataclass(frozen=True)
-class LatentSet:
-    """Ordered, immutable set of latent-state labels. Indices are stable."""
-
-    labels: tuple
-
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        if len(labels) < 1:
-            raise ValueError("latent set must contain at least one label")
-        if len(set(labels)) != len(labels):
-            raise ValueError("latent labels must be distinct")
-        object.__setattr__(self, "labels", labels)
-
-    def __len__(self):
-        return len(self.labels)
-
-    def index(self, label) -> int:
-        return self.labels.index(label)
-
-
-@dataclass(frozen=True)
 class Belief:
-    """Probability vector over the latent set."""
+    """Probability vector over the latent values."""
 
     probs: np.ndarray
 
@@ -67,24 +46,6 @@ class Belief:
         return int(np.argmax(self.probs))
 
 
-@dataclass(frozen=True)
-class BeliefLogits:
-    """Unconstrained logit parameterization of a belief (softmax inverse)."""
-
-    beta: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.beta, dtype=float)
-        if b.ndim != 1 or b.size < 1:
-            raise ValueError("logits must be a non-empty vector")
-        if not np.isfinite(b).all():
-            raise ValueError("logits must be finite")
-        object.__setattr__(self, "beta", b)
-
-    def __len__(self):
-        return self.beta.size
-
-
 def softmax(beta: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max-subtraction)."""
     b = np.asarray(beta, dtype=float)
@@ -92,29 +53,16 @@ def softmax(beta: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def belief_from_logits(beta: BeliefLogits | np.ndarray) -> Belief:
-    """Softmax map from logits to the probability simplex."""
-    raw = beta.beta if isinstance(beta, BeliefLogits) else np.asarray(beta, dtype=float)
-    if not np.isfinite(raw).all():
-        raise ValueError("logits must be finite")
-    return Belief(softmax(raw))
-
-
-def logits_from_belief(b: Belief) -> BeliefLogits:
-    """Elementwise log of the (floored, renormalized) belief.
-
-    The floor keeps zero-probability entries representable; the round trip
-    through `belief_from_logits` is exact to floating precision away from
-    the floor.
-    """
-    p = floor_probs(b.probs)
-    return BeliefLogits(np.log(p))
-
-
 def floor_probs(probs: np.ndarray, floor: float = BELIEF_FLOOR) -> np.ndarray:
     """Clamp probabilities below by `floor` and renormalize."""
     p = np.maximum(np.asarray(probs, dtype=float), floor)
     return p / p.sum()
+
+
+def logits(probs: np.ndarray) -> np.ndarray:
+    """Logits of a probability vector: the log of its floored, renormalized
+    entries, so that a zero probability stays representable."""
+    return np.log(floor_probs(probs))
 
 
 def softmax_derivatives(beta: np.ndarray):

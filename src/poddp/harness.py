@@ -30,7 +30,7 @@ class StepRecord:
     x: np.ndarray
     u: np.ndarray
     cost: float
-    observation: Optional[np.ndarray]  # sampled at segment boundaries only
+    observation: Optional[np.ndarray]  # sampled at segment ends only
     belief: np.ndarray  # belief in effect after this step's update (if any)
 
 
@@ -86,12 +86,6 @@ def _sample_observation(model: ProblemModel, x, z: int, rng) -> np.ndarray:
     return rng.multivariate_normal(mean, cov)
 
 
-def _clamp(u, low, high):
-    if low is None or high is None:
-        return np.asarray(u, dtype=float)
-    return np.clip(u, low, high)
-
-
 def _warm_start(planner: PlannerKind, current: ExecutablePlan, seg_len: int, b: Belief):
     """Initial controls for the next replan, taken from the unexecuted tail.
 
@@ -117,10 +111,17 @@ def execute_episode(
     true_z: int,
     seed: int,
     config: SolverConfig,
-    control_low=None,
-    control_high=None,
+    control_low,
+    control_high,
     _plan_cache: Optional[dict] = None,
 ) -> EpisodeTrace:
+    """One closed-loop episode under latent value `true_z`; controls are
+    clipped to [control_low, control_high].
+
+    Plans are pure functions of (x, b, schedule, warm start). `_plan_cache`
+    shares them across the episodes of a batch, so identical prefixes
+    (always the initial solve) are planned once per batch.
+    """
     if not 0 <= true_z < model.num_latents:
         raise ValueError("true_z outside the latent set")
     _, proc_rng, obs_rng = episode_streams(seed)
@@ -133,38 +134,32 @@ def execute_episode(
     converged = True
     warm = None  # next plan is seeded from the current plan's unexecuted tail
     remaining_segments = list(config.segment_lengths())
+    # The key holds the remaining segment count, so it never repeats within
+    # one episode.
+    cache = {} if _plan_cache is None else _plan_cache
 
     while remaining_segments:
-        horizon_left = int(sum(remaining_segments))
+        # The equal split of the remaining horizon is the tail of the first
+        # plan's schedule.
         seg_cfg = replace(
             config,
-            horizon=horizon_left,
-            boundaries=tuple(np.cumsum(remaining_segments[:-1]).tolist()) or None,
+            horizon=sum(remaining_segments),
             segments=len(remaining_segments),
         )
-        # Plans are pure functions of (x, b, schedule, warm start); share
-        # them across episodes so identical prefixes (always the initial
-        # solve) are planned once per batch.
-        cache_key = None
-        if _plan_cache is not None:
-            warm_key = None if warm is None else tuple(
-                (h, u.tobytes()) for h, u in sorted(warm.items())
-            )
-            cache_key = (
-                x.tobytes(), b.probs.tobytes(), len(remaining_segments), warm_key
-            )
-            current = _plan_cache.get(cache_key)
-            if current is None:
-                current = plan(planner, model, x, b, seg_cfg, u_init=warm)
-                _plan_cache[cache_key] = current
-        else:
+        warm_key = None if warm is None else tuple(
+            (h, u.tobytes()) for h, u in sorted(warm.items())
+        )
+        cache_key = (x.tobytes(), b.probs.tobytes(), len(remaining_segments), warm_key)
+        current = cache.get(cache_key)
+        if current is None:
             current = plan(planner, model, x, b, seg_cfg, u_init=warm)
+            cache[cache_key] = current
         converged = converged and current.converged
         seg_len = remaining_segments.pop(0)
         x_prev = None
         u_prev = None
         for t in range(seg_len):
-            u = _clamp(current.control(t, x, b), control_low, control_high)
+            u = np.clip(current.control(t, x, b), control_low, control_high)
             step_cost = float(model.running_cost(x, u, true_z))
             cumulative += step_cost
             x_prev, u_prev = x, u
@@ -205,8 +200,8 @@ def run_batch(
     n: int,
     base_seed: int,
     config: SolverConfig,
-    control_low=None,
-    control_high=None,
+    control_low,
+    control_high,
 ) -> BatchStats:
     if n < 1:
         raise ValueError("n must be at least 1")

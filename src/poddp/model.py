@@ -12,8 +12,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .belief import LatentSet
-
 # Relative step for central differences; balances truncation and round-off
 # for the state magnitudes (1-100) occurring in the shipped scenarios.
 FD_REL_STEP = 1e-5
@@ -58,14 +56,14 @@ class ProblemModel:
 
     All callables are deterministic, and the derivative callbacks return
     float arrays; noise enters only through the declared covariances.
+    The latent values are the indices 0..num_latents-1.
     `dynamics_noise` holds one entry per latent value; ``None`` marks
     deterministic dynamics (no transition evidence).
     """
 
     state_dim: int
     control_dim: int
-    obs_dim: int
-    latents: LatentSet
+    num_latents: int
     dynamics_mean: Callable  # (x, u, z) -> x'
     observation_mean: Callable  # (x, z) -> o
     observation_noise: Callable  # (x, z) -> covariance (scalar/diag/full)
@@ -77,9 +75,9 @@ class ProblemModel:
     final_cost_derivatives: Callable  # (x, z) -> (lf_x, lf_xx)
     dynamics_noise: Optional[Sequence] = None  # per-z covariance or None
 
-    @property
-    def num_latents(self) -> int:
-        return len(self.latents)
+    def __post_init__(self):
+        if self.num_latents < 1:
+            raise ValueError("a model needs at least one latent value")
 
     def dynamics_noise_for(self, z: int):
         if self.dynamics_noise is None:
@@ -102,13 +100,11 @@ def condition_on_latent(model: ProblemModel, z: int) -> ProblemModel:
 
     Used by the maximum-likelihood baseline and by single-chain reductions.
     """
-    label = model.latents.labels[z]
     noise = None if model.dynamics_noise is None else (model.dynamics_noise_for(z),)
     return ProblemModel(
         state_dim=model.state_dim,
         control_dim=model.control_dim,
-        obs_dim=model.obs_dim,
-        latents=LatentSet((label,)),
+        num_latents=1,
         dynamics_mean=lambda x, u, _z, _f=model.dynamics_mean: _f(x, u, z),
         observation_mean=lambda x, _z, _f=model.observation_mean: _f(x, z),
         observation_noise=lambda x, _z, _f=model.observation_noise: _f(x, z),

@@ -28,9 +28,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _integer(value: Value) -> int:
+    """`value` as an int; a float with a fractional part is not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 # Config fields are annotated `int` or `float`; under postponed evaluation a
 # field's annotation is that name.
-_COERCE = {"int": int, "float": float}
+_COERCE = {"int": _integer, "float": float}
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..belief import LatentSet
 from ..model import ProblemModel, read_only
 from .config import ScenarioConfig
 from .idm import IDMParams, idm_accel_with_partials
@@ -265,8 +264,7 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
     return ProblemModel(
         state_dim=STATE_DIM,
         control_dim=2,
-        obs_dim=1,
-        latents=LatentSet(("Nice", "Aggressive")),
+        num_latents=2,
         dynamics_mean=dynamics_mean,
         observation_mean=observation_mean,
         observation_noise=observation_noise,

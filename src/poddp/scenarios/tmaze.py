@@ -14,7 +14,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..belief import LatentSet
 from ..model import ProblemModel, read_only
 from .config import ScenarioConfig
 from .vehicle import (
@@ -189,8 +188,7 @@ def build(cfg: TMazeConfig) -> ProblemModel:
     return ProblemModel(
         state_dim=4,
         control_dim=2,
-        obs_dim=1,
-        latents=LatentSet(("Left", "Right")),
+        num_latents=2,
         dynamics_mean=dynamics_mean,
         observation_mean=observation_mean,
         observation_noise=observation_noise,

@@ -4,7 +4,7 @@ The solver alternates a forward pass, which rolls a control tree through
 maximum-likelihood outcomes (per latent value) and Bayesian belief updates,
 with a backward pass that propagates a quadratic value model through the
 tree and produces open-loop control updates plus linear feedback gains over
-belief-state deviations. Branching happens at segment boundaries; within a
+belief-state deviations. Branching happens at segment ends; within a
 segment the standard per-step DDP recursion applies, over the augmented
 state (x, beta).
 """
@@ -22,8 +22,8 @@ from .belief import (
     Belief,
     bayes_update,
     cov_matrix,
-    floor_probs,
     gaussian_log_density,
+    logits,
     softmax,
     softmax_derivatives,
 )
@@ -57,18 +57,12 @@ REGULARIZATION_MAX = 1e10
 @dataclass(frozen=True)
 class SolverConfig:
     horizon: int
-    segments: int = 1
-    boundaries: Optional[Tuple[int, ...]] = None  # tau_1..tau_{k-1}; default equal
+    segments: int = 1  # the horizon splits into this many near-equal segments
     max_iterations: int = 100
     cost_tolerance: float = 1e-7  # relative improvement threshold
     gradient_tolerance: float = 1e-9  # max |k| declaring stationarity
 
     def segment_lengths(self) -> Tuple[int, ...]:
-        if self.boundaries is not None:
-            taus = (0,) + tuple(self.boundaries) + (self.horizon,)
-            if list(taus) != sorted(set(taus)):
-                raise ValueError("segment boundaries must be strictly increasing")
-            return tuple(taus[i + 1] - taus[i] for i in range(len(taus) - 1))
         if not (1 <= self.segments <= self.horizon):
             raise ValueError("segments must be in [1, horizon]")
         base, rem = divmod(self.horizon, self.segments)
@@ -160,8 +154,7 @@ def forward_pass(
         tree.betas[h] = betas
         tree.beliefs[h] = b.probs.copy()
 
-    beta0 = np.log(floor_probs(b0.probs))
-    roll((), x0, beta0, b0)
+    roll((), x0, logits(b0.probs), b0)
     return tree
 
 
@@ -322,7 +315,7 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, z: int):
     jac[:n, :n] = f_x
     jac[:n, ns:] = f_u
     jac[n:] = active[:, None] * d_log_post - ((active * post) @ d_log_post) / total
-    return np.concatenate([x_next, np.log(floor_probs(post))]), jac
+    return np.concatenate([x_next, logits(post)]), jac
 
 
 def _expected_q(cost, beta, jacs, value_models):
@@ -388,25 +381,20 @@ def optimize_control(
     beta,
     u,
     cost,
-    child_value_models: Optional[Sequence[QuadraticValueModel]],
+    child_value_models: Sequence[QuadraticValueModel],
     lam: float,
 ):
     """Branch-step control update: the belief-weighted Q-expansion through
     the per-latent successors (dynamics -> observation -> belief update),
-    linearized by `_branch_jacobians`.
+    linearized by `_branch_jacobians`, into the children's value models.
 
-    `cost` is the step's `_cost_expansion`. With `child_value_models`
-    absent, the successor value of each branch is the expected final cost
-    quadraticized at its successor. Returns (k, K, value model at s).
+    `cost` is the step's `_cost_expansion`. Returns (k, K, value model at s).
     """
-    n = model.state_dim
-    succs, jacs = zip(
-        *(_branch_jacobians(model, x, beta, u, z) for z in range(model.num_latents))
-    )
-    if child_value_models is None:
-        child_value_models = [terminal_value_model(model, s[:n], s[n:]) for s in succs]
+    jacs = [
+        _branch_jacobians(model, x, beta, u, z)[1] for z in range(model.num_latents)
+    ]
     q_terms = _expected_q(cost, beta, jacs, child_value_models)
-    return _solve_gains(*q_terms, n + model.num_latents, lam)
+    return _solve_gains(*q_terms, model.state_dim + model.num_latents, lam)
 
 
 def _insegment_step(cost, jac, next_vm: QuadraticValueModel, lam: float):
@@ -472,14 +460,9 @@ def backward_pass(
 @dataclass
 class SolveResult:
     tree: TrajectoryTree
-    gains: GainSchedule
     iterations: List[dict]
     converged: bool
     cost: float
-
-    @property
-    def num_iterations(self) -> int:
-        return len(self.iterations)
 
 
 def _zero_controls(segment_lengths, num_latents, control_dim):
@@ -520,16 +503,25 @@ def solve(
     lam = REGULARIZATION_INIT
     log: List[dict] = []
     converged = False
+    stop = config.max_iterations < 1
+    it = 0
 
-    for it in range(1, config.max_iterations + 1):
+    while True:
+        # After the last iteration this is the backward pass of the returned
+        # tree, so its gains and value models are not those of its parent.
         step = _regularized_backward_pass(model, tree, lam)
         if step is None:
-            return _finish(tree, GainSchedule(), {}, log, False, cost)
+            gains, vms = GainSchedule(), {}
+            break
         gains, vms, lam = step
+        if stop:
+            break
+        it += 1
         grad_norm = gains.max_open_norm()
         if grad_norm < config.gradient_tolerance:
             log.append(_log_row(it, cost, 0.0, lam, grad_norm))
-            return _finish(tree, gains, vms, log, True, cost)
+            converged = True
+            break
 
         accepted = None
         for alpha in ALPHA_SCHEDULE:
@@ -548,8 +540,7 @@ def solve(
         if accepted is None:
             lam *= REGULARIZATION_FACTOR
             log.append(_log_row(it, cost, 0.0, lam, grad_norm))
-            if lam > REGULARIZATION_MAX:
-                break
+            stop = lam > REGULARIZATION_MAX or it == config.max_iterations
             continue
 
         alpha, tree, new_cost = accepted
@@ -557,13 +548,9 @@ def solve(
         cost = new_cost
         lam = max(lam / 2.0, REGULARIZATION_MIN)
         log.append(_log_row(it, cost, alpha, lam, grad_norm))
-        if rel < config.cost_tolerance:
-            converged = True
-            break
+        converged = rel < config.cost_tolerance
+        stop = converged or it == config.max_iterations
 
-    # Gains and value models of the final nominal tree, not of its parent.
-    step = _regularized_backward_pass(model, tree, lam)
-    gains, vms = (GainSchedule(), {}) if step is None else step[:2]
     return _finish(tree, gains, vms, log, converged, cost)
 
 
@@ -586,7 +573,7 @@ def _finish(tree, gains, vms, log, converged, cost) -> SolveResult:
     tree.value_models = vms
     tree.gains_open = dict(gains.open)
     tree.gains_feedback = dict(gains.feedback)
-    return SolveResult(tree, gains, log, converged, cost)
+    return SolveResult(tree, log, converged, cost)
 
 
 def _log_row(iteration, cost, alpha, lam, gradient_norm):

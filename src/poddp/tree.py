@@ -2,7 +2,7 @@
 
 A tree node is identified by its history: the tuple of latent indices taken
 at successive branch points (the empty tuple is the root). Branching happens
-only at segment boundaries, so a solve with k segments stores histories of
+only at segment ends, so a solve with k segments stores histories of
 length < k. Each node carries the controls and belief states of one segment;
 the backward pass attaches per-step gains and one quadratic value model per
 node.
@@ -11,31 +11,15 @@ node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 HistoryPath = Tuple[int, ...]
 
 
-class StructuralCorruptionError(RuntimeError):
-    """A tree node referenced during traversal is missing."""
-
-
 def history_string(h: HistoryPath) -> str:
     return "".join(str(z) for z in h)
-
-
-def node_count(num_latents: int, num_branch_levels: int) -> int:
-    """Number of nodes in a complete tree with the given branch depth.
-
-    Equals (|Z|^(L+1) - 1) / (|Z| - 1); a chain of L+1 nodes when |Z| = 1.
-    """
-    if num_latents < 1:
-        raise ValueError("num_latents must be >= 1")
-    if num_latents == 1:
-        return num_branch_levels + 1
-    return (num_latents ** (num_branch_levels + 1) - 1) // (num_latents - 1)
 
 
 @dataclass(frozen=True)
@@ -77,17 +61,8 @@ class TrajectoryTree:
     def num_segments(self) -> int:
         return len(self.segment_lengths)
 
-    @property
-    def horizon(self) -> int:
-        return int(sum(self.segment_lengths))
-
     def is_leaf(self, h: HistoryPath) -> bool:
         return len(h) == self.num_segments - 1
-
-    def children(self, h: HistoryPath) -> List[HistoryPath]:
-        if self.is_leaf(h):
-            return []
-        return [h + (z,) for z in range(self.num_latents)]
 
     def histories(self) -> List[HistoryPath]:
         return sorted(self.controls.keys(), key=lambda h: (len(h), h))
@@ -97,21 +72,6 @@ class TrajectoryTree:
         if not self.is_leaf(h):
             raise ValueError("terminal state only exists at leaf nodes")
         return self.xs[h][-1], self.betas[h][-1]
-
-
-def iterate_depth_first(tree: TrajectoryTree) -> Iterator[HistoryPath]:
-    """Post-order traversal: children (in latent-index order) before parents."""
-
-    def visit(h: HistoryPath) -> Iterator[HistoryPath]:
-        if h not in tree.controls:
-            raise StructuralCorruptionError(
-                f"missing tree node {history_string(h) or 'root'!r}"
-            )
-        for child in tree.children(h):
-            yield from visit(child)
-        yield h
-
-    return visit(())
 
 
 def tree_to_dict(tree: TrajectoryTree) -> dict:

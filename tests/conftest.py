@@ -13,7 +13,6 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
-from poddp.belief import LatentSet
 from poddp.model import FD_REL_STEP, DifferentiationError, ProblemModel
 
 # Wider step for differentiating a finite-difference gradient a second time:
@@ -100,8 +99,7 @@ def lqr_problem_model(p: LQRProblem) -> ProblemModel:
     return ProblemModel(
         state_dim=n,
         control_dim=nu,
-        obs_dim=1,
-        latents=LatentSet(("only",)),
+        num_latents=1,
         dynamics_mean=lambda x, u, z: p.a @ x + p.b @ u,
         observation_mean=lambda x, z: np.zeros(1),
         observation_noise=lambda x, z: np.ones(1),
@@ -244,8 +242,7 @@ def make_latent_linear_model(nz: int, seed=3) -> ProblemModel:
     return ProblemModel(
         state_dim=n,
         control_dim=nu,
-        obs_dim=1,
-        latents=LatentSet(tuple(f"z{z}" for z in range(nz))),
+        num_latents=nz,
         dynamics_mean=lambda x, u, z: a @ x + b @ u + drifts[z],
         observation_mean=lambda x, z: obs_means[z] + 0.3 * x[:1],
         observation_noise=lambda x, z: np.ones(1),

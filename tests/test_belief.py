@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 from poddp.belief import (
     BELIEF_FLOOR,
     Belief,
-    BeliefLogits,
     DegenerateEvidenceError,
-    LatentSet,
     bayes_update,
-    belief_from_logits,
     cov_matrix,
     gaussian_log_density,
     log_posterior_update,
-    logits_from_belief,
+    logits,
     softmax,
     softmax_derivatives,
 )
@@ -50,21 +47,21 @@ def test_softmax_constant_logits_uniform():
 @given(logits_vectors, st.floats(min_value=-50, max_value=50, allow_nan=False))
 @settings(max_examples=50, deadline=None)
 def test_belief_from_logits_shift_invariant(beta, c):
-    p1 = belief_from_logits(beta).probs
-    p2 = belief_from_logits(beta + c).probs
+    p1 = Belief(softmax(beta)).probs
+    p2 = Belief(softmax(beta + c)).probs
     np.testing.assert_allclose(p1, p2, atol=1e-12)
 
 
 def test_logits_from_belief_uniform():
-    beta = logits_from_belief(Belief(np.array([0.5, 0.5]))).beta
+    beta = logits(Belief(np.array([0.5, 0.5])).probs)
     np.testing.assert_allclose(beta, np.log(0.5))
 
 
 def test_logits_from_belief_floors_zero_and_round_trips():
     b = Belief(np.array([1.0, 0.0]))
-    beta = logits_from_belief(b).beta
+    beta = logits(b.probs)
     assert np.isfinite(beta).all()
-    back = belief_from_logits(BeliefLogits(beta)).probs
+    back = Belief(softmax(beta)).probs
     np.testing.assert_allclose(back, [1.0, 0.0], atol=1e-8)
     # The floored entry keeps roughly the floor's worth of mass.
     assert back[1] <= 2 * BELIEF_FLOOR
@@ -72,8 +69,8 @@ def test_logits_from_belief_floors_zero_and_round_trips():
 
 def test_logits_belief_inverse_property():
     b = Belief(np.array([2.0 / 3.0, 1.0 / 3.0]))
-    beta = logits_from_belief(b)
-    np.testing.assert_allclose(belief_from_logits(beta).probs, b.probs, atol=1e-12)
+    beta = logits(b.probs)
+    np.testing.assert_allclose(Belief(softmax(beta)).probs, b.probs, atol=1e-12)
 
 
 def _stub_model(obs_means, obs_vars=None, nz=None):
@@ -82,8 +79,7 @@ def _stub_model(obs_means, obs_vars=None, nz=None):
     return ProblemModel(
         state_dim=1,
         control_dim=1,
-        obs_dim=1,
-        latents=LatentSet(tuple(range(nz))),
+        num_latents=nz,
         dynamics_mean=lambda x, u, z: x,
         observation_mean=lambda x, z: np.atleast_1d(obs_means[z]),
         observation_noise=lambda x, z: obs_vars[z],
@@ -138,7 +134,7 @@ def test_degenerate_evidence_raises():
 @settings(max_examples=50, deadline=None)
 def test_bayes_output_sums_to_one(beta):
     model = _stub_model(list(np.linspace(-1, 1, beta.size)), nz=beta.size)
-    prior = belief_from_logits(beta)
+    prior = Belief(softmax(beta))
     post = bayes_update(
         np.array([0.2]), np.zeros(1), np.zeros(1), np.zeros(1), prior, model
     )
@@ -220,11 +216,6 @@ def test_gaussian_log_density_full_covariance_matches_diagonal():
     diag = gaussian_log_density(v, m, var)
     full = gaussian_log_density(v, m, np.diag(var))
     assert abs(diag - full) < 1e-12
-
-
-def test_latent_set_rejects_duplicates():
-    with pytest.raises(ValueError):
-        LatentSet(("a", "a"))
 
 
 def test_belief_validation():

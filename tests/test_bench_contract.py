@@ -1,7 +1,9 @@
-"""The names of the package that the benchmark in `bench/` reaches for.
+"""The names and call signatures of the package that the benchmark in
+`bench/` reaches for.
 
-The benchmark wraps solver layers and model callbacks by name and imports
-budgets and scenario constants. A traced run stops with an error when a
+The benchmark wraps solver layers and model callbacks by name, reads some of
+their arguments by position or keyword, and imports budgets and scenario
+constants. A traced run stops with an error when a
 layer it lists is never called, so a change that deletes or renames one of
 these names breaks the benchmark, not the package's own tests. These checks
 read `bench/` and change nothing there.
@@ -11,6 +13,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -83,3 +86,54 @@ def test_every_package_name_the_bench_uses_exists(name):
     assert refs
     for module, attr in sorted(refs):
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+
+
+def _bench_function(name, function):
+    """The definition of `function` in bench/<name>.py."""
+    tree = ast.parse((BENCH / f"{name}.py").read_text())
+    (node,) = [
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function
+    ]
+    return node
+
+
+def _bench_calls(name, function):
+    """Every call of `function` by its bare name in bench/<name>.py."""
+    tree = ast.parse((BENCH / f"{name}.py").read_text())
+    return [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == function
+    ]
+
+
+def test_forward_pass_takes_gains_where_the_trace_reads_it():
+    # The traced run counts a line-search trial when the sixth positional
+    # argument of forward_pass, `gains`, is not None.
+    from poddp.solver import forward_pass
+
+    wrapper = [a.arg for a in _bench_function("layers", "forward_pass").args.args]
+    assert wrapper[5] == "gains"
+    assert list(inspect.signature(forward_pass).parameters)[: len(wrapper)] == wrapper
+
+
+def test_execute_episode_takes_the_plan_cache_by_keyword():
+    from poddp.harness import execute_episode
+
+    wrapper = _bench_function("layers", "execute_episode")
+    assert "_plan_cache" in [a.arg for a in wrapper.args.kwonlyargs]
+    param = inspect.signature(execute_episode).parameters["_plan_cache"]
+    assert param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+
+
+def test_run_batch_takes_the_bounds_where_the_bench_passes_them():
+    from poddp.harness import run_batch
+
+    params = list(inspect.signature(run_batch).parameters)
+    calls = _bench_calls("run", "run_batch")
+    assert calls
+    for call in calls:
+        assert not call.keywords and len(call.args) <= len(params)
+        passed = dict(zip(params, (ast.unparse(a) for a in call.args)))
+        assert passed["control_low"].endswith(".control_low")
+        assert passed["control_high"].endswith(".control_high")

@@ -159,7 +159,10 @@ def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "solve_tmaze_poddp.json").exists()
 
 
-@pytest.mark.parametrize("key, value", [("dt", "abc"), ("horizon", "inf")])
+@pytest.mark.parametrize(
+    "key, value",
+    [("dt", "abc"), ("horizon", "inf"), ("horizon", "40.7"), ("segments", "2.9")],
+)
 def test_config_value_of_the_wrong_type_names_its_key(key, value, tmp_path, capsys):
     args = ["solve", "--experiment", "tmaze", "--set", f"{key}={value}"]
     rc = main(args + ["--out", str(tmp_path)])

@@ -18,7 +18,7 @@ from poddp.model import condition_on_latent
 from poddp.scenarios import build_scenario
 from poddp.solver import SolverConfig, evaluate_tree_cost, solve
 
-from conftest import scenario_with_overrides
+from conftest import make_latent_linear_model, scenario_with_overrides
 
 
 def _deterministic_chain_scenario():
@@ -82,6 +82,41 @@ def test_plan_cache_keys_on_the_warm_start(monkeypatch):
     shift[0] = 0.01
     run()  # the first plan has no warm start and is shared; no replan is
     assert len(planned) == 2 * sc.segments - 1
+
+
+def test_replans_split_the_rest_of_the_first_schedule(monkeypatch):
+    # A replan splits the remaining horizon equally into the remaining
+    # segments. That split is the tail of the first plan's schedule, so the
+    # segments end where the episode's first plan put them.
+    from types import SimpleNamespace
+
+    from poddp import harness
+
+    model = make_latent_linear_model(2)
+    schedules = []
+
+    def stub_plan(kind, model, x, b, config, u_init=None):
+        schedules.append(config.segment_lengths())
+        tree = SimpleNamespace(controls={(): np.zeros((config.horizon, 1))})
+        return SimpleNamespace(
+            result=SimpleNamespace(tree=tree),
+            converged=True,
+            control=lambda t, x, b: np.zeros(1),
+        )
+
+    monkeypatch.setattr(harness, "plan", stub_plan)
+    monkeypatch.setattr(harness, "bayes_update", lambda *args: args[4])  # keep b
+    prior = Belief(np.array([0.5, 0.5]))
+    for horizon in range(1, 61):
+        for segments in range(1, horizon + 1):
+            config = SolverConfig(horizon=horizon, segments=segments)
+            schedules.clear()
+            execute_episode(
+                PlannerKind.MLDDP, model, np.zeros(2), prior, 0, 0, config,
+                -np.ones(1), np.ones(1),
+            )
+            first = config.segment_lengths()
+            assert schedules == [first[i:] for i in range(segments)], (horizon, segments)
 
 
 def test_same_seed_bit_identical_traces():

@@ -1,9 +1,11 @@
 """Problem-model derivatives: numerical differentiation and scenario Jacobians."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from poddp.model import ProblemModel, numerical_jacobian
-from poddp.belief import LatentSet
 from poddp.scenarios import build_scenario
 from poddp.scenarios.vehicle import PX, BicycleParams, bicycle_jacobians, bicycle_step
 
@@ -29,8 +31,7 @@ def _quadratic_model(q, r):
     return ProblemModel(
         state_dim=n,
         control_dim=nu,
-        obs_dim=1,
-        latents=LatentSet(("a", "b")),
+        num_latents=2,
         dynamics_mean=lambda x, u, z: 0.9 * x,
         observation_mean=lambda x, z: np.zeros(1),
         observation_noise=lambda x, z: np.ones(1),
@@ -41,6 +42,12 @@ def _quadratic_model(q, r):
         running_cost_derivatives=lambda x, u, z: (q @ x, r @ u, q, np.zeros((n, nu)), r),
         final_cost_derivatives=lambda x, z: (q @ x, q),
     )
+
+
+def test_model_needs_a_latent_value():
+    model = _quadratic_model(np.eye(2), np.eye(1))
+    with pytest.raises(ValueError):
+        dataclasses.replace(model, num_latents=0)
 
 
 def test_quadratic_cost_derivatives_exact():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poddp.belief import BELIEF_FLOOR, Belief, LatentSet, bayes_update, softmax
+from poddp.belief import BELIEF_FLOOR, Belief, bayes_update, softmax
 from poddp.model import ProblemModel, numerical_jacobian
 from poddp.solver import (
     REGULARIZATION_FACTOR,
@@ -132,8 +132,7 @@ def _linear_cost_model(slope):
     return ProblemModel(
         state_dim=1,
         control_dim=1,
-        obs_dim=1,
-        latents=LatentSet(("a", "b")),
+        num_latents=2,
         dynamics_mean=lambda x, u, z: x,
         observation_mean=lambda x, z: np.zeros(1),
         observation_noise=lambda x, z: np.ones(1),
@@ -197,8 +196,7 @@ def test_evaluate_tree_cost_latent_permutation_invariant(tmaze_scenario):
     swapped_model = ProblemModel(
         state_dim=model.state_dim,
         control_dim=model.control_dim,
-        obs_dim=model.obs_dim,
-        latents=model.latents,
+        num_latents=model.num_latents,
         dynamics_mean=lambda x, u, z: model.dynamics_mean(x, u, perm[z]),
         observation_mean=lambda x, z: model.observation_mean(x, perm[z]),
         observation_noise=lambda x, z: model.observation_noise(x, perm[z]),
@@ -232,11 +230,22 @@ def _step_cost(model, x, beta, u):
     return levels[0], grads[0], hessians[0]
 
 
+def _terminal_children(model, x, beta, u):
+    """The value model of each branch's successor when the children are
+    leaves of length zero: the expected final cost at the successor."""
+    n = model.state_dim
+    succs = [
+        _branch_jacobians(model, x, beta, u, z)[0] for z in range(model.num_latents)
+    ]
+    return [terminal_value_model(model, s[:n], s[n:]) for s in succs]
+
+
 def test_optimize_control_zero_problem_gives_zero_gains():
     model = _linear_cost_model(0.0)
     x, beta, u = np.zeros(1), np.log(np.array([0.5, 0.5])), np.zeros(1)
     cost = _step_cost(model, x, beta, u)
-    k, gain, vm = optimize_control(model, x, beta, u, cost, None, lam=1e-6)
+    children = _terminal_children(model, x, beta, u)
+    k, gain, vm = optimize_control(model, x, beta, u, cost, children, lam=1e-6)
     np.testing.assert_allclose(k, 0.0, atol=1e-12)
     np.testing.assert_allclose(gain, 0.0, atol=1e-12)
     assert abs(vm.dv) < 1e-12
@@ -273,7 +282,8 @@ def test_optimize_control_symmetric_belief_no_lateral_preference(tmaze_scenario)
     sc = tmaze_scenario
     x, beta, u = sc.initial_state, np.log(np.array([0.5, 0.5])), np.zeros(2)
     cost = _step_cost(sc.model, x, beta, u)
-    k, _, _ = optimize_control(sc.model, x, beta, u, cost, None, lam=1e-6)
+    children = _terminal_children(sc.model, x, beta, u)
+    k, _, _ = optimize_control(sc.model, x, beta, u, cost, children, lam=1e-6)
     assert abs(k[0]) < 1e-8  # steering component
 
 
@@ -314,7 +324,7 @@ def test_converged_solve_has_small_open_loop_gains(lqr):
     config = SolverConfig(horizon=lqr.horizon, segments=1, cost_tolerance=1e-12)
     result = solve(model, lqr.x0, Belief(np.ones(1)), config)
     assert result.converged
-    assert result.gains.max_open_norm() < 1e-4
+    assert max(np.max(np.abs(k)) for k in result.tree.gains_open.values()) < 1e-4
 
 
 def test_zero_cost_problem_converges_immediately():
@@ -323,7 +333,7 @@ def test_zero_cost_problem_converges_immediately():
     result = solve(model, np.zeros(1), Belief(np.array([0.5, 0.5])), config)
     assert result.converged
     assert result.cost == 0.0
-    assert result.num_iterations == 1
+    assert len(result.iterations) == 1
 
 
 def test_lqr_solve_matches_riccati(lqr):
@@ -503,8 +513,7 @@ def _evidence_model(noise_scale):
     return ProblemModel(
         state_dim=2,
         control_dim=1,
-        obs_dim=2,
-        latents=LatentSet(("a", "b", "c", "d")),
+        num_latents=4,
         dynamics_mean=dynamics_mean,
         observation_mean=observation_mean,
         observation_noise=observation_noise,
@@ -634,8 +643,7 @@ def _latent_cost_scenario():
     model = ProblemModel(
         state_dim=2,
         control_dim=1,
-        obs_dim=1,
-        latents=LatentSet(("a", "b")),
+        num_latents=2,
         dynamics_mean=lambda x, u, z: a @ x + b @ u,
         observation_mean=lambda x, z: np.array([float(z)]),
         observation_noise=lambda x, z: np.ones(1),
@@ -811,8 +819,7 @@ def _blow_up_model(limit: float, mode: str):
     return ProblemModel(
         state_dim=1,
         control_dim=1,
-        obs_dim=1,
-        latents=LatentSet(("only",)),
+        num_latents=1,
         dynamics_mean=dynamics_mean,
         observation_mean=lambda x, z: np.zeros(1),
         observation_noise=lambda x, z: np.ones(1),

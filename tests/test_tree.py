@@ -1,4 +1,4 @@
-"""Trajectory-tree structure, traversal, and serialization."""
+"""Trajectory-tree structure and serialization."""
 
 import json
 
@@ -8,27 +8,9 @@ from hypothesis import strategies as st
 
 from poddp.belief import Belief
 from poddp.solver import SolverConfig, forward_pass, solve
-from poddp.tree import history_string, iterate_depth_first, node_count, tree_to_dict
+from poddp.tree import history_string, tree_to_dict
 
 from conftest import make_latent_linear_model
-
-
-def test_node_count_examples():
-    assert node_count(2, 2) == 7
-    assert node_count(1, 5) == 6
-    assert node_count(3, 2) == 13
-
-
-def test_node_count_matches_enumeration():
-    # Exhaustive enumeration of history strings up to the branch depth.
-    for nz in (1, 2, 3):
-        for levels in (0, 1, 2, 3):
-            histories = {()}
-            frontier = [()]
-            for _ in range(levels):
-                frontier = [h + (z,) for h in frontier for z in range(nz)]
-                histories.update(frontier)
-            assert node_count(nz, levels) == len(histories)
 
 
 def _history_from_string(s):
@@ -64,31 +46,37 @@ def _rolled_tree(nz: int, segments: int):
     return forward_pass(model, np.array([1.0, -0.5]), b0, u_nom, None, None, 1.0, lengths)
 
 
+def _histories(nz: int, levels: int):
+    """Every history of a complete tree with `levels` branch levels."""
+    histories = {()}
+    frontier = [()]
+    for _ in range(levels):
+        frontier = [h + (z,) for h in frontier for z in range(nz)]
+        histories.update(frontier)
+    return histories
+
+
+def test_node_count_examples():
+    assert len(_rolled_tree(2, 3).controls) == 7
+    assert len(_rolled_tree(1, 6).controls) == 6
+    assert len(_rolled_tree(3, 3).controls) == 13
+
+
+def test_node_count_matches_enumeration():
+    # The forward pass rolls out exactly the histories up to the branch depth.
+    for nz in (1, 2, 3):
+        for levels in (0, 1, 2, 3):
+            assert set(_rolled_tree(nz, levels + 1).controls) == _histories(nz, levels)
+
+
 def test_forward_pass_node_counts():
+    # A complete tree of L branch levels has (|Z|^(L+1) - 1) / (|Z| - 1)
+    # nodes, and a chain of L + 1 nodes when |Z| = 1.
     for nz in (1, 2, 3):
         for segments in (1, 2, 3):
             tree = _rolled_tree(nz, segments)
-            assert len(tree.controls) == node_count(nz, segments - 1)
-
-
-def test_post_order_two_latents_one_level():
-    tree = _rolled_tree(2, 2)
-    assert list(iterate_depth_first(tree)) == [(0,), (1,), ()]
-
-
-def test_post_order_single_latent_chain():
-    tree = _rolled_tree(1, 3)
-    assert list(iterate_depth_first(tree)) == [(0, 0), (0,), ()]
-
-
-def test_post_order_children_before_parents():
-    tree = _rolled_tree(2, 3)
-    order = list(iterate_depth_first(tree))
-    assert len(order) == 7
-    pos = {h: i for i, h in enumerate(order)}
-    for h in order:
-        for child in tree.children(h):
-            assert pos[child] < pos[h]
+            expected = segments if nz == 1 else (nz ** segments - 1) // (nz - 1)
+            assert len(tree.controls) == expected
 
 
 def test_serialization_round_trip_bit_exact(tmaze_scenario):
