@@ -16,6 +16,7 @@ from .solver import (
     backward_pass,
     evaluate_tree_cost,
     forward_pass,
+    linearize,
     optimize_control,
     solve,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "backward_pass",
     "evaluate_tree_cost",
     "forward_pass",
+    "linearize",
     "optimize_control",
     "solve",
     "QuadraticValueModel",

@@ -91,13 +91,13 @@ def gaussian_log_density(value: np.ndarray, mean: np.ndarray, cov) -> float:
     `cov` may be a scalar variance, a vector of per-dimension variances, or
     a full covariance matrix.
     """
-    v = np.atleast_1d(np.asarray(value, dtype=float))
-    m = np.atleast_1d(np.asarray(mean, dtype=float))
-    r = v - m
+    r = np.atleast_1d(np.subtract(value, mean, dtype=float))
     c = np.asarray(cov, dtype=float)
     if c.ndim <= 1:
-        var = np.broadcast_to(np.atleast_1d(c), r.shape)
-        if np.any(var <= 0):
+        var = np.atleast_1d(c)
+        if var.shape != r.shape:
+            var = np.broadcast_to(var, r.shape)
+        if (var <= 0).any():
             raise ValueError("variances must be positive")
         return float(-0.5 * np.sum(r * r / var + np.log(2.0 * np.pi * var)))
     sign, logdet = np.linalg.slogdet(c)
@@ -111,12 +111,15 @@ def log_posterior_update(log_prior: np.ndarray, log_likelihood: np.ndarray) -> n
     """Normalized posterior from log prior and per-hypothesis log likelihood."""
     joint = np.asarray(log_prior, dtype=float) + np.asarray(log_likelihood, dtype=float)
     finite = np.isfinite(joint)
-    if not finite.any():
-        raise DegenerateEvidenceError(
-            "evidence has zero likelihood under every latent hypothesis"
-        )
-    m = joint[finite].max()
-    w = np.where(finite, np.exp(np.where(finite, joint, m) - m), 0.0)
+    if finite.all():
+        w = np.exp(joint - joint.max())
+    else:
+        if not finite.any():
+            raise DegenerateEvidenceError(
+                "evidence has zero likelihood under every latent hypothesis"
+            )
+        m = joint[finite].max()
+        w = np.where(finite, np.exp(np.where(finite, joint, m) - m), 0.0)
     total = w.sum()
     if total < 1e-300:
         raise DegenerateEvidenceError(

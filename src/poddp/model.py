@@ -56,6 +56,8 @@ class ProblemModel:
 
     All callables are deterministic, and the derivative callbacks return
     float arrays; noise enters only through the declared covariances.
+    Callbacks receive the state and control as 1-D float arrays, which may
+    be views into larger arrays, so a callback must not write to them.
     The latent values are the indices 0..num_latents-1.
     `dynamics_noise` holds one entry per latent value; ``None`` marks
     deterministic dynamics (no transition evidence).
@@ -83,16 +85,6 @@ class ProblemModel:
         if self.dynamics_noise is None:
             return None
         return self.dynamics_noise[z]
-
-    def expected_running_cost(self, x, u, probs) -> float:
-        return float(
-            sum(probs[z] * self.running_cost(x, u, z) for z in range(self.num_latents))
-        )
-
-    def expected_final_cost(self, x, probs) -> float:
-        return float(
-            sum(probs[z] * self.final_cost(x, z) for z in range(self.num_latents))
-        )
 
 
 def condition_on_latent(model: ProblemModel, z: int) -> ProblemModel:

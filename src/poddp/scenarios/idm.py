@@ -36,6 +36,28 @@ class IDMParams:
                 raise ValueError(f"{name} must be positive")
 
 
+def _idm_law(ego_lon, ego_v, other_lon, other_v, other_lane_overlap, p: IDMParams):
+    """The acceleration and the intermediate terms its partials reuse:
+    (accel, c, gap - gap_floor, s_eff, leader sigmoid, interaction weight,
+    s_star / s_eff)."""
+    gap = ego_lon - other_lon
+    c = 2.0 * math.sqrt(p.max_accel * p.comfort_decel)
+    s_star = p.min_gap + other_v * p.time_headway + other_v * (other_v - ego_v) / c
+    g_arg = gap - p.gap_floor
+    s_eff = p.gap_floor + softplus(g_arg)
+    bsig = sigmoid((gap - p.yield_onset) / p.gap_smoothness)
+    w = bsig * other_lane_overlap * p.yielding
+    ratio = s_star / s_eff
+    free = 1.0 - (other_v / p.desired_speed) ** 4
+    accel = p.max_accel * (free - w * ratio * ratio)
+    return float(accel), c, g_arg, s_eff, bsig, w, ratio
+
+
+def idm_accel(ego_lon, ego_v, other_lon, other_v, other_lane_overlap, params: IDMParams):
+    """The acceleration of `idm_accel_with_partials` without its partials."""
+    return _idm_law(ego_lon, ego_v, other_lon, other_v, other_lane_overlap, params)[0]
+
+
 def idm_accel_with_partials(
     ego_lon, ego_v, other_lon, other_v, other_lane_overlap, params: IDMParams
 ):
@@ -47,20 +69,12 @@ def idm_accel_with_partials(
     (accel, d accel / d (ego_lon, ego_v, other_lon, other_v, overlap)).
     """
     p = params
-    gap = ego_lon - other_lon
-    c = 2.0 * math.sqrt(p.max_accel * p.comfort_decel)
-    s_star = p.min_gap + other_v * p.time_headway + other_v * (other_v - ego_v) / c
-    g_arg = gap - p.gap_floor
-    s_eff = p.gap_floor + softplus(g_arg)
+    accel, c, g_arg, s_eff, bsig, w, ratio = _idm_law(
+        ego_lon, ego_v, other_lon, other_v, other_lane_overlap, p
+    )
     dseff_dgap = sigmoid(g_arg)
-    bsig = sigmoid((gap - p.yield_onset) / p.gap_smoothness)
-    w = bsig * other_lane_overlap * p.yielding
     dw_dgap = bsig * (1.0 - bsig) / p.gap_smoothness * other_lane_overlap * p.yielding
     dw_dov = bsig * p.yielding
-
-    ratio = s_star / s_eff
-    free = 1.0 - (other_v / p.desired_speed) ** 4
-    accel = p.max_accel * (free - w * ratio * ratio)
 
     dsstar_dov_v = p.time_headway + (2.0 * other_v - ego_v) / c
     dsstar_degov = -other_v / c
@@ -73,4 +87,4 @@ def idm_accel_with_partials(
         - w * 2.0 * ratio * dsstar_dov_v / s_eff
     )
     partials = np.array([d_gap, d_egov, -d_gap, d_otherv, d_ov])
-    return float(accel), partials
+    return accel, partials

@@ -21,12 +21,10 @@ import numpy as np
 
 from ..model import ProblemModel, read_only
 from .config import ScenarioConfig
-from .idm import IDMParams, idm_accel_with_partials
+from .idm import IDMParams, idm_accel, idm_accel_with_partials
 from .vehicle import (
-    ACCEL,
     PX,
     PY,
-    STEER,
     TH,
     V,
     bicycle_jacobians,
@@ -112,27 +110,24 @@ def lane_overlap(cfg: LaneChangeConfig, py: float):
     return float(s), float(s * (1.0 - s) / cfg.overlap_width)
 
 
-def _other_accel(cfg: LaneChangeConfig, idm: IDMParams, x):
-    ov, dov = lane_overlap(cfg, x[PY])
-    a, g = idm_accel_with_partials(x[PX], x[V], x[LON_O], x[V_O], ov, idm)
-    # chain partials into state coordinates (px, py, th, v, lon_o, v_o)
-    da = np.array([g[0], g[4] * dov, 0.0, g[1], g[2], g[3]])
-    return a, da
-
-
 def build(cfg: LaneChangeConfig) -> ProblemModel:
     dt = cfg.dt
     veh = cfg.vehicle()
     idms = idm_params(cfg)
 
     def dynamics_mean(x, u, z):
-        a, _ = _other_accel(cfg, idms[z], x)
+        px, py, _, v, lon_o, v_o = x.tolist()
+        a = idm_accel(px, v, lon_o, v_o, lane_overlap(cfg, py)[0], idms[z])
         ego = bicycle_step(x[:4], u, dt, veh)
-        v_o = min(max(x[V_O] + dt * a, 0.0), cfg.other_speed_max)
-        return np.concatenate([ego, [x[LON_O] + dt * x[V_O], v_o]])
+        v_o_next = min(max(v_o + dt * a, 0.0), cfg.other_speed_max)
+        return np.concatenate([ego, [lon_o + dt * v_o, v_o_next]])
 
     def dynamics_jacobians(x, u, z):
-        a, da = _other_accel(cfg, idms[z], x)
+        px, py, _, v, lon_o, v_o = x.tolist()
+        ov, dov = lane_overlap(cfg, py)
+        a, g = idm_accel_with_partials(px, v, lon_o, v_o, ov, idms[z])
+        # chain partials into state coordinates (px, py, th, v, lon_o, v_o)
+        da = np.array([g[0], g[4] * dov, 0.0, g[1], g[2], g[3]])
         ego_fx, ego_fu = bicycle_jacobians(x[:4], u, dt, veh)
         f_x = np.zeros((STATE_DIM, STATE_DIM))
         f_u = np.zeros((STATE_DIM, 2))
@@ -140,7 +135,7 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
         f_u[:4, :] = ego_fu
         f_x[LON_O, LON_O] = 1.0
         f_x[LON_O, V_O] = dt
-        v_o_next = x[V_O] + dt * a
+        v_o_next = v_o + dt * a
         active = 1.0 if 0.0 < v_o_next < cfg.other_speed_max else 0.0
         f_x[V_O, :] = active * dt * da
         f_x[V_O, V_O] += active
@@ -164,21 +159,19 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
     h_exp[PY, PY] = -2.0 * ay
     h_exp = read_only(h_exp)
 
-    def _collision_value(x):
+    def _collision_value(px, py, lon_o):
         """Gaussian-bump proximity penalty."""
-        dx = x[PX] - x[LON_O]
-        dy = x[PY] - cfg.lane_y
+        dx = px - lon_o
+        dy = py - cfg.lane_y
         return cfg.collision_weight * math.exp(-(dx * dx) * ax - (dy * dy) * ay)
 
-    def _collision(x):
+    def _collision(px, py, lon_o):
         """Gaussian-bump proximity penalty; value, gradient, Hessian."""
-        dx = x[PX] - x[LON_O]
-        dy = x[PY] - cfg.lane_y
-        c = _collision_value(x)
-        g_exp = np.zeros(STATE_DIM)  # gradient of the exponent
-        g_exp[PX] = -2.0 * dx * ax
-        g_exp[PY] = -2.0 * dy * ay
-        g_exp[LON_O] = 2.0 * dx * ax
+        dx = px - lon_o
+        dy = py - cfg.lane_y
+        c = _collision_value(px, py, lon_o)
+        # gradient of the exponent
+        g_exp = np.array([-2.0 * dx * ax, -2.0 * dy * ay, 0.0, 0.0, 2.0 * dx * ax, 0.0])
         grad = c * g_exp
         hess = c * (np.outer(g_exp, g_exp) + h_exp)
         return c, grad, hess
@@ -201,14 +194,16 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
         return w, g1, g2
 
     def running_cost(x, u, z):
-        c = _collision_value(x)
-        w, _, _ = _lane_urgency(x[PX])
+        px, py, th, v, lon_o, _ = x.tolist()
+        steer, accel = u.tolist()
+        c = _collision_value(px, py, lon_o)
+        w, _, _ = _lane_urgency(px)
         return (
-            w * (x[PY] - cfg.lane_y) ** 2
-            + cfg.heading_weight * x[TH] ** 2
-            + cfg.speed_weight * (x[V] - cfg.desired_speed) ** 2
-            + cfg.steer_weight * u[STEER] ** 2
-            + cfg.accel_weight * u[ACCEL] ** 2
+            w * (py - cfg.lane_y) ** 2
+            + cfg.heading_weight * th ** 2
+            + cfg.speed_weight * (v - cfg.desired_speed) ** 2
+            + cfg.steer_weight * steer ** 2
+            + cfg.accel_weight * accel ** 2
             + c
         )
 
@@ -216,36 +211,38 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
     l_uu = read_only(np.diag([2.0 * cfg.steer_weight, 2.0 * cfg.accel_weight]))
 
     def running_cost_derivatives(x, u, z):
-        _, l_x, l_xx = _collision(x)
-        w, w1, w2 = _lane_urgency(x[PX])
-        e = x[PY] - cfg.lane_y
+        px, py, th, v, lon_o, _ = x.tolist()
+        steer, accel = u.tolist()
+        _, l_x, l_xx = _collision(px, py, lon_o)
+        w, w1, w2 = _lane_urgency(px)
+        e = py - cfg.lane_y
         l_x[PX] += w1 * e * e
         l_x[PY] += 2.0 * w * e
-        l_x[TH] += 2.0 * cfg.heading_weight * x[TH]
-        l_x[V] += 2.0 * cfg.speed_weight * (x[V] - cfg.desired_speed)
+        l_x[TH] += 2.0 * cfg.heading_weight * th
+        l_x[V] += 2.0 * cfg.speed_weight * (v - cfg.desired_speed)
         l_xx[PX, PX] += w2 * e * e
         l_xx[PX, PY] += 2.0 * w1 * e
         l_xx[PY, PX] += 2.0 * w1 * e
         l_xx[PY, PY] += 2.0 * w
         l_xx[TH, TH] += 2.0 * cfg.heading_weight
         l_xx[V, V] += 2.0 * cfg.speed_weight
-        l_u = np.array(
-            [2.0 * cfg.steer_weight * u[STEER], 2.0 * cfg.accel_weight * u[ACCEL]]
-        )
+        l_u = np.array([2.0 * cfg.steer_weight * steer, 2.0 * cfg.accel_weight * accel])
         return l_x, l_u, l_xx, l_xu, l_uu
 
     def final_cost(x, z):
-        c = _collision_value(x)
+        px, py, th, _, lon_o, _ = x.tolist()
+        c = _collision_value(px, py, lon_o)
         return (
-            cfg.lane_weight_final * (x[PY] - cfg.lane_y) ** 2
-            + cfg.heading_weight * x[TH] ** 2
+            cfg.lane_weight_final * (py - cfg.lane_y) ** 2
+            + cfg.heading_weight * th ** 2
             + c
         )
 
     def final_cost_derivatives(x, z):
-        _, lf_x, lf_xx = _collision(x)
-        lf_x[PY] += 2.0 * cfg.lane_weight_final * (x[PY] - cfg.lane_y)
-        lf_x[TH] += 2.0 * cfg.heading_weight * x[TH]
+        px, py, th, _, lon_o, _ = x.tolist()
+        _, lf_x, lf_xx = _collision(px, py, lon_o)
+        lf_x[PY] += 2.0 * cfg.lane_weight_final * (py - cfg.lane_y)
+        lf_x[TH] += 2.0 * cfg.heading_weight * th
         lf_xx[PY, PY] += 2.0 * cfg.lane_weight_final
         lf_xx[TH, TH] += 2.0 * cfg.heading_weight
         return lf_x, lf_xx

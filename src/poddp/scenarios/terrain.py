@@ -21,7 +21,6 @@ from .config import ScenarioConfig
 from .vehicle import (
     ACCEL,
     PY,
-    STEER,
     V,
     bicycle_jacobians,
     bicycle_step,
@@ -75,14 +74,17 @@ def build(cfg: TerrainConfig) -> ProblemModel:
     goal = np.array([cfg.goal_x, cfg.goal_y])
 
     def dynamics_mean(x, u, z):
-        r = resistive_decel(cfg, x[PY], x[V], z)
-        eff = np.array([u[STEER], u[ACCEL] - r])
-        return bicycle_step(x, eff, dt, veh)
+        _, py, _, v = x.tolist()
+        steer, accel = u.tolist()
+        r = resistive_decel(cfg, py, v, z)
+        return bicycle_step(x, np.array([steer, accel - r]), dt, veh)
 
     def dynamics_jacobians(x, u, z):
-        rho, drho = resistance_coefficient(cfg, x[PY], z)
-        th = math.tanh(x[V])
-        eff = np.array([u[STEER], u[ACCEL] - rho * th])
+        _, py, _, v = x.tolist()
+        steer, accel = u.tolist()
+        rho, drho = resistance_coefficient(cfg, py, z)
+        th = math.tanh(v)
+        eff = np.array([steer, accel - rho * th])
         f_x, f_u = bicycle_jacobians(x, eff, dt, veh)
         active = f_u[V, ACCEL] / dt if dt > 0 else 0.0  # speed-clamp subgradient
         f_x = f_x.copy()
@@ -100,29 +102,36 @@ def build(cfg: TerrainConfig) -> ProblemModel:
         return np.zeros((1, 4))
 
     def running_cost(x, u, z):
+        v = x.tolist()[V]
+        steer, accel = u.tolist()
         d = x[:2] - goal
         return (
             cfg.goal_weight_running * float(d @ d)
-            + cfg.speed_weight * (x[V] - cfg.desired_speed) ** 2
-            + cfg.steer_weight * u[STEER] ** 2
-            + cfg.accel_weight * u[ACCEL] ** 2
+            + cfg.speed_weight * (v - cfg.desired_speed) ** 2
+            + cfg.steer_weight * steer ** 2
+            + cfg.accel_weight * accel ** 2
         )
 
+    goal_curvature = 2.0 * cfg.goal_weight_running
     l_xx = np.zeros((4, 4))
-    l_xx[:2, :2] = 2.0 * cfg.goal_weight_running * np.eye(2)
+    l_xx[:2, :2] = goal_curvature * np.eye(2)
     l_xx[V, V] = 2.0 * cfg.speed_weight
     l_xx = read_only(l_xx)
     l_xu = read_only(np.zeros((4, 2)))
     l_uu = read_only(np.diag([2.0 * cfg.steer_weight, 2.0 * cfg.accel_weight]))
 
     def running_cost_derivatives(x, u, z):
-        d = x[:2] - goal
-        l_x = np.zeros(4)
-        l_x[:2] = 2.0 * cfg.goal_weight_running * d
-        l_x[V] = 2.0 * cfg.speed_weight * (x[V] - cfg.desired_speed)
-        l_u = np.array(
-            [2.0 * cfg.steer_weight * u[STEER], 2.0 * cfg.accel_weight * u[ACCEL]]
+        px, py, _, v = x.tolist()
+        steer, accel = u.tolist()
+        l_x = np.array(
+            [
+                goal_curvature * (px - cfg.goal_x),
+                goal_curvature * (py - cfg.goal_y),
+                0.0,
+                2.0 * cfg.speed_weight * (v - cfg.desired_speed),
+            ]
         )
+        l_u = np.array([2.0 * cfg.steer_weight * steer, 2.0 * cfg.accel_weight * accel])
         return l_x, l_u, l_xx, l_xu, l_uu
 
     def final_cost(x, z):
@@ -134,9 +143,9 @@ def build(cfg: TerrainConfig) -> ProblemModel:
     lf_xx = read_only(lf_xx)
 
     def final_cost_derivatives(x, z):
-        lf_x = np.zeros(4)
-        lf_x[:2] = 2.0 * cfg.goal_weight_final * (x[:2] - goal)
-        return lf_x, lf_xx
+        px, py, _, _ = x.tolist()
+        slope = 2.0 * cfg.goal_weight_final
+        return np.array([slope * (px - cfg.goal_x), slope * (py - cfg.goal_y), 0.0, 0.0]), lf_xx
 
     process_std = np.array(
         [cfg.process_std_x, cfg.process_std_y, cfg.process_std_heading, cfg.process_std_speed]

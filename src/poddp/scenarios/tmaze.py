@@ -17,10 +17,8 @@ import numpy as np
 from ..model import ProblemModel, read_only
 from .config import ScenarioConfig
 from .vehicle import (
-    ACCEL,
     PX,
     PY,
-    STEER,
     V,
     bicycle_jacobians,
     bicycle_step,
@@ -89,7 +87,7 @@ def _wall_profile(cfg: TMazeConfig, px: float):
 
 
 def _wall_value(cfg: TMazeConfig, px: float, py: float) -> float:
-    """The wall penalty of `_wall_cost` without its derivatives."""
+    """The wall penalty, whose derivatives `_wall_derivatives` gives."""
     s = cfg.wall_sharpness
     hw = cfg.corridor_half_width
     f_pos = softplus(s * (px - hw))
@@ -107,21 +105,19 @@ def _wall_gate(cfg: TMazeConfig, py: float):
     return g, gp, gpp
 
 
-def _wall_cost(cfg: TMazeConfig, px: float, py: float):
+def _wall_derivatives(cfg: TMazeConfig, px: float, py: float):
+    """Gradient (d/dpx, d/dpy) and Hessian entries (pxpx, pxpy, pypy) of the
+    wall penalty."""
     p, p1, p2 = _wall_profile(cfg, px)
     g, g1, g2 = _wall_gate(cfg, py)
     w = cfg.wall_weight
-    value = w * g * p
-    grad = np.array([w * g * p1, w * g1 * p])
-    hess = np.array([[w * g * p2, w * g1 * p1], [w * g1 * p1, w * g2 * p]])
-    return value, grad, hess
+    return (w * g * p1, w * g1 * p), (w * g * p2, w * g1 * p1, w * g2 * p)
 
 
 def build(cfg: TMazeConfig) -> ProblemModel:
     dt = cfg.dt
     veh = cfg.vehicle()
-    goal_points = goals(cfg)
-    goal_xy = [tuple(g.tolist()) for g in goal_points]
+    goal_xy = [tuple(g.tolist()) for g in goals(cfg)]
 
     def dynamics_mean(x, u, z):
         return bicycle_step(x, u, dt, veh)
@@ -133,47 +129,60 @@ def build(cfg: TMazeConfig) -> ProblemModel:
         return np.array([OBS_MEANS[z]])
 
     def observation_noise(x, z):
-        return np.array([observation_variance(cfg, x[PY])])
+        return np.array([observation_variance(cfg, x.tolist()[PY])])
 
     def observation_jacobian(x, z):
         return np.zeros((1, 4))
 
     def running_cost(x, u, z):
+        px, py, _, v = x.tolist()
+        steer, accel = u.tolist()
         gx, gy = goal_xy[z]
-        dx = x[PX] - gx
-        dy = x[PY] - gy
+        dx = px - gx
+        dy = py - gy
         return (
             cfg.goal_weight_running * (dx * dx + dy * dy)
-            + _wall_value(cfg, x[PX], x[PY])
-            + cfg.speed_weight * (x[V] - cfg.desired_speed) ** 2
-            + cfg.steer_weight * u[STEER] ** 2
-            + cfg.accel_weight * u[ACCEL] ** 2
+            + _wall_value(cfg, px, py)
+            + cfg.speed_weight * (v - cfg.desired_speed) ** 2
+            + cfg.steer_weight * steer ** 2
+            + cfg.accel_weight * accel ** 2
         )
 
+    goal_curvature = 2.0 * cfg.goal_weight_running
     l_xx_quadratic = np.zeros((4, 4))
-    l_xx_quadratic[:2, :2] = 2.0 * cfg.goal_weight_running * np.eye(2)
+    l_xx_quadratic[:2, :2] = goal_curvature * np.eye(2)
     l_xx_quadratic[V, V] = 2.0 * cfg.speed_weight
     l_xx_quadratic = read_only(l_xx_quadratic)
     l_xu = read_only(np.zeros((4, 2)))
     l_uu = read_only(np.diag([2.0 * cfg.steer_weight, 2.0 * cfg.accel_weight]))
 
     def running_cost_derivatives(x, u, z):
-        d = x[:2] - goal_points[z]
-        _, wall_g, wall_h = _wall_cost(cfg, x[PX], x[PY])
-        l_x = np.zeros(4)
-        l_x[:2] = 2.0 * cfg.goal_weight_running * d + wall_g
-        l_x[V] = 2.0 * cfg.speed_weight * (x[V] - cfg.desired_speed)
-        l_xx = l_xx_quadratic.copy()
-        l_xx[:2, :2] += wall_h
-        l_u = np.array(
-            [2.0 * cfg.steer_weight * u[STEER], 2.0 * cfg.accel_weight * u[ACCEL]]
+        px, py, _, v = x.tolist()
+        steer, accel = u.tolist()
+        gx, gy = goal_xy[z]
+        (wall_x, wall_y), (wall_xx, wall_xy, wall_yy) = _wall_derivatives(cfg, px, py)
+        l_x = np.array(
+            [
+                goal_curvature * (px - gx) + wall_x,
+                goal_curvature * (py - gy) + wall_y,
+                0.0,
+                2.0 * cfg.speed_weight * (v - cfg.desired_speed),
+            ]
         )
+        l_xx = l_xx_quadratic.copy()
+        # The goal term has no cross curvature: 0.0 + wall_xy, not wall_xy,
+        # so that a wall term of -0.0 enters as 0.0.
+        l_xx[PX, PX] = goal_curvature + wall_xx
+        l_xx[PX, PY] = l_xx[PY, PX] = 0.0 + wall_xy
+        l_xx[PY, PY] = goal_curvature + wall_yy
+        l_u = np.array([2.0 * cfg.steer_weight * steer, 2.0 * cfg.accel_weight * accel])
         return l_x, l_u, l_xx, l_xu, l_uu
 
     def final_cost(x, z):
+        px, py, _, _ = x.tolist()
         gx, gy = goal_xy[z]
-        dx = x[PX] - gx
-        dy = x[PY] - gy
+        dx = px - gx
+        dy = py - gy
         return cfg.goal_weight_final * (dx * dx + dy * dy)
 
     lf_xx = np.zeros((4, 4))
@@ -181,9 +190,10 @@ def build(cfg: TMazeConfig) -> ProblemModel:
     lf_xx = read_only(lf_xx)
 
     def final_cost_derivatives(x, z):
-        lf_x = np.zeros(4)
-        lf_x[:2] = 2.0 * cfg.goal_weight_final * (x[:2] - goal_points[z])
-        return lf_x, lf_xx
+        px, py, _, _ = x.tolist()
+        gx, gy = goal_xy[z]
+        slope = 2.0 * cfg.goal_weight_final
+        return np.array([slope * (px - gx), slope * (py - gy), 0.0, 0.0]), lf_xx
 
     return ProblemModel(
         state_dim=4,

@@ -1,9 +1,12 @@
 """Kinematic bicycle model and smooth shaping functions shared by scenarios.
 
 Everything here runs on scalars, once per model callback, so it uses `math`
-and plain comparisons rather than numpy ufuncs. Non-finite inputs give
-non-finite outputs (NaN where `math` would raise `ValueError`), which the
-solver's rollout checks then reject.
+and plain comparisons rather than numpy ufuncs. The callbacks here and in the
+scenarios unpack their state and control arrays once with `.tolist()`, since
+arithmetic on Python floats is several times faster than on numpy scalars and
+gives the same IEEE results. Non-finite inputs give non-finite outputs (NaN
+where `math` would raise `ValueError`), which the solver's rollout checks then
+reject.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ def bicycle_step(x, u, dt: float, params: BicycleParams) -> np.ndarray:
     Controls saturate at the actuator limits inside the dynamics (matching
     the execution-time clamp) and speed is clamped to [0, v_max].
     """
-    px, py, th, v = x[PX], x[PY], x[TH], x[V]
-    steer = _saturate(u[STEER], params.steer_max)
-    accel = _saturate(u[ACCEL], params.accel_max)
+    px, py, th, v = x.tolist()
+    steer, accel = u.tolist()
+    steer = _saturate(steer, params.steer_max)
+    accel = _saturate(accel, params.accel_max)
     cos_th, sin_th = _cos_sin(th)
     return np.array(
         [
@@ -60,11 +64,12 @@ def bicycle_step(x, u, dt: float, params: BicycleParams) -> np.ndarray:
 
 def bicycle_jacobians(x, u, dt: float, params: BicycleParams):
     """Analytic (f_x, f_u) of `bicycle_step`; clamps use their subgradients."""
-    th, v = x[TH], x[V]
-    steer = _saturate(u[STEER], params.steer_max)
-    accel = _saturate(u[ACCEL], params.accel_max)
-    steer_active = 1.0 if abs(u[STEER]) < params.steer_max else 0.0
-    accel_active = 1.0 if abs(u[ACCEL]) < params.accel_max else 0.0
+    _, _, th, v = x.tolist()
+    u_steer, u_accel = u.tolist()
+    steer = _saturate(u_steer, params.steer_max)
+    accel = _saturate(u_accel, params.accel_max)
+    steer_active = 1.0 if abs(u_steer) < params.steer_max else 0.0
+    accel_active = 1.0 if abs(u_accel) < params.accel_max else 0.0
     v_active = 1.0 if 0.0 < v + accel * dt < params.v_max else 0.0
     cos_th, sin_th = _cos_sin(th)
     cos_steer = math.cos(steer)

@@ -94,7 +94,7 @@ def node_dynamics_latent(h: HistoryPath, root_belief: np.ndarray) -> int:
 
 
 def _check_finite(x: np.ndarray, what: str):
-    if not np.isfinite(x).all():
+    if not all(map(math.isfinite, x.tolist())):
         raise RolloutDivergenceError(f"non-finite {what} during rollout")
 
 
@@ -111,11 +111,12 @@ def forward_pass(
     """Roll the control tree from (x0, b0) through maximum-likelihood outcomes.
 
     With `gains` present, each step applies
-    u = u_nom + alpha * k + K (s - s_nom); otherwise u = u_nom. At every
+    u = (u_nom + alpha * k) + K (s - s_nom); otherwise u = u_nom. At every
     segment boundary the rollout branches once per latent value, taking the
     mean next state and mean observation and updating the belief.
     """
     nz = model.num_latents
+    n = model.state_dim
     tree = TrajectoryTree(num_latents=nz, segment_lengths=tuple(segment_lengths))
     x0 = np.asarray(x0, dtype=float)
 
@@ -124,18 +125,26 @@ def forward_pass(
         m = tree.segment_lengths[depth]
         leaf = depth == tree.num_segments - 1
         z_dyn = node_dynamics_latent(h, b0.probs)
-        xs = np.empty((m + (1 if leaf else 0), model.state_dim))
-        betas = np.empty((xs.shape[0], nz))
-        us = np.empty((m, model.control_dim))
+        u_rows = np.asarray(u_nom[h], dtype=float)
+        if gains is not None:
+            # What stays fixed over the node: u_nom + alpha k, the gains, the
+            # nominal states and the logit deviation (the logits of a node
+            # are the same on every row).
+            u_rows = u_rows + alpha * np.array([gains.open[(h, j)] for j in range(m)])
+            feedback = [gains.feedback[(h, j)] for j in range(m)]
+            x_nom = s_nom.xs[h]
+            ds = np.empty(n + nz)
+            ds[n:] = beta - s_nom.betas[h][0]
+            dx = ds[:n]
+        xs, us = [], []
         for j in range(m):
-            xs[j], betas[j] = x, beta
-            u = np.asarray(u_nom[h][j], dtype=float)
-            if gains is not None and (h, j) in gains.open:
-                ds = np.concatenate(
-                    [x - s_nom.xs[h][j], beta - s_nom.betas[h][j]]
-                )
-                u = u + alpha * gains.open[(h, j)] + gains.feedback[(h, j)] @ ds
-            us[j] = u
+            xs.append(x)
+            if gains is None:
+                u = u_rows[j]
+            else:
+                np.subtract(x, x_nom[j], out=dx)
+                u = u_rows[j] + feedback[j] @ ds
+            us.append(u)
             if leaf or j < m - 1:
                 x = np.asarray(model.dynamics_mean(x, u, z_dyn), dtype=float)
                 _check_finite(x, "state")
@@ -148,9 +157,11 @@ def forward_pass(
                     b_next = bayes_update(o_next, x_next, u, x, b, model)
                     roll(h + (z,), x_next, np.log(b_next.probs), b_next)
         if leaf:
-            xs[m], betas[m] = x, beta
-        tree.controls[h] = us
-        tree.xs[h] = xs
+            xs.append(x)
+        betas = np.empty((len(xs), nz))
+        betas[:] = beta
+        tree.controls[h] = np.array(us)
+        tree.xs[h] = np.array(xs)
         tree.betas[h] = betas
         tree.beliefs[h] = b.probs.copy()
 
@@ -162,18 +173,25 @@ def evaluate_tree_cost(model: ProblemModel, tree: TrajectoryTree) -> float:
     """Expected cost of the tree: belief-weighted running costs per segment,
     branch children weighted by the parent belief, and the expected final
     cost at each leaf."""
+    nz = tree.num_latents
+    running_cost, final_cost = model.running_cost, model.final_cost
 
     def node_cost(h: HistoryPath) -> float:
-        b = tree.beliefs[h]
-        us = tree.controls[h]
-        c = sum(
-            model.expected_running_cost(tree.xs[h][j], us[j], b)
-            for j in range(us.shape[0])
-        )
+        b = tree.beliefs[h].tolist()
+        xs = tree.xs[h]
+        c = 0.0
+        for x, u in zip(xs, tree.controls[h]):
+            step = 0.0
+            for z in range(nz):
+                step += b[z] * running_cost(x, u, z)
+            c += float(step)
         if tree.is_leaf(h):
-            c += model.expected_final_cost(tree.xs[h][-1], b)
+            final = 0.0
+            for z in range(nz):
+                final += b[z] * final_cost(xs[-1], z)
+            c += float(final)
         else:
-            for z in range(tree.num_latents):
+            for z in range(nz):
                 c += b[z] * node_cost(h + (z,))
         return c
 
@@ -375,26 +393,16 @@ def _solve_gains(q0, q, big_q, dv_next, ns: int, lam: float):
     return k, gain, QuadraticValueModel(dv=dv, v_s=v_s, v_ss=v_ss, cost_to_go=float(q0))
 
 
-def optimize_control(
-    model: ProblemModel,
-    x,
-    beta,
-    u,
-    cost,
-    child_value_models: Sequence[QuadraticValueModel],
-    lam: float,
-):
+def optimize_control(cost, beta, jacs, child_value_models, lam: float):
     """Branch-step control update: the belief-weighted Q-expansion through
     the per-latent successors (dynamics -> observation -> belief update),
-    linearized by `_branch_jacobians`, into the children's value models.
+    with Jacobians `jacs` from `_branch_jacobians`, into the children's value
+    models.
 
     `cost` is the step's `_cost_expansion`. Returns (k, K, value model at s).
     """
-    jacs = [
-        _branch_jacobians(model, x, beta, u, z)[1] for z in range(model.num_latents)
-    ]
     q_terms = _expected_q(cost, beta, jacs, child_value_models)
-    return _solve_gains(*q_terms, model.state_dim + model.num_latents, lam)
+    return _solve_gains(*q_terms, jacs[0].shape[0], lam)
 
 
 def _insegment_step(cost, jac, next_vm: QuadraticValueModel, lam: float):
@@ -409,45 +417,89 @@ def _insegment_step(cost, jac, next_vm: QuadraticValueModel, lam: float):
     )
 
 
+@dataclass(frozen=True)
+class NodeLinearization:
+    """What the backward pass reads of one node, none of which depends on
+    lambda: the steps' `_cost_expansion` (levels, gradients, Hessians), the
+    in-segment Jacobians, and either the branch step's per-latent Jacobians
+    (`branch_jacobians`) or the leaf's terminal value model (`terminal`)."""
+
+    cost: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    insegment_jacobians: np.ndarray
+    branch_jacobians: Optional[List[np.ndarray]] = None
+    terminal: Optional[QuadraticValueModel] = None
+
+
+@dataclass(frozen=True)
+class Linearization:
+    """The local model of a nominal tree, formed once by `linearize` and
+    swept by `backward_pass` at any lambda."""
+
+    tree: TrajectoryTree
+    nodes: Dict[HistoryPath, NodeLinearization]
+
+
+def linearize(model: ProblemModel, tree: TrajectoryTree) -> Linearization:
+    """Expand every node of `tree`: running costs, in-segment dynamics, and
+    the branch step's successors or the leaf's final cost."""
+    nodes = {}
+    for h, us in tree.controls.items():
+        xs = tree.xs[h]
+        beta = tree.betas[h][0]  # the logits of a node are the same on every row
+        leaf = tree.is_leaf(h)
+        m_in = us.shape[0] if leaf else us.shape[0] - 1
+        z_dyn = node_dynamics_latent(h, tree.beliefs[()])
+        terminal = branch_jacobians = None
+        if leaf:
+            terminal = terminal_value_model(model, *tree.terminal_state(h))
+        else:
+            branch_jacobians = [
+                _branch_jacobians(model, xs[-1], beta, us[-1], z)[1]
+                for z in range(tree.num_latents)
+            ]
+        nodes[h] = NodeLinearization(
+            cost=_cost_expansion(model, xs, us, beta),
+            insegment_jacobians=_insegment_jacobians(model, xs[:m_in], us[:m_in], z_dyn),
+            branch_jacobians=branch_jacobians,
+            terminal=terminal,
+        )
+    return Linearization(tree, nodes)
+
+
 def backward_pass(
-    model: ProblemModel,
-    tree: TrajectoryTree,
-    lam: float = 0.0,
+    linearization: Linearization,
+    lam: float,
 ) -> Tuple[GainSchedule, Dict[HistoryPath, QuadraticValueModel]]:
-    """Depth-first, post-order dynamic programming over the tree.
+    """Depth-first, post-order dynamic programming over a linearized tree.
 
     Children are processed first; their value models combine through the
     belief-weighted expansion at the parent's branch step, then the standard
-    per-step recursion runs back through the segment. The running-cost
-    expansions and dynamics Jacobians of a node's steps are formed together
-    before its recursion. Raises `BackwardFailureError` when Q_uu cannot be
-    made positive definite at the given regularization (the caller raises
-    lambda and retries).
+    per-step recursion runs back through the segment. Raises
+    `BackwardFailureError` when Q_uu cannot be made positive definite at the
+    given regularization (the caller raises lambda and sweeps again over the
+    same linearization).
     """
+    tree = linearization.tree
     gains = GainSchedule()
     value_models: Dict[HistoryPath, QuadraticValueModel] = {}
 
     def visit(h: HistoryPath) -> QuadraticValueModel:
-        xs, us = tree.xs[h], tree.controls[h]
-        beta = tree.betas[h][0]  # the logits of a node are the same on every row
-        m = us.shape[0]
-        leaf = tree.is_leaf(h)
-        levels, grads, hessians = _cost_expansion(model, xs, us, beta)
-        m_in = m if leaf else m - 1
-        z_dyn = node_dynamics_latent(h, tree.beliefs[()])
-        jacs = _insegment_jacobians(model, xs[:m_in], us[:m_in], z_dyn)
-        if leaf:
-            vm = terminal_value_model(model, *tree.terminal_state(h))
+        node = linearization.nodes[h]
+        levels, grads, hessians = node.cost
+        m = levels.shape[0]
+        if node.terminal is not None:
+            vm = node.terminal
         else:
             child_vms = [visit(h + (z,)) for z in range(tree.num_latents)]
             j = m - 1
             cost = (levels[j], grads[j], hessians[j])
-            k, K, vm = optimize_control(model, xs[j], beta, us[j], cost, child_vms, lam)
+            beta = tree.betas[h][0]
+            k, K, vm = optimize_control(cost, beta, node.branch_jacobians, child_vms, lam)
             gains.open[(h, j)] = k
             gains.feedback[(h, j)] = K
-        for j in reversed(range(m_in)):
+        for j in reversed(range(node.insegment_jacobians.shape[0])):
             cost = (levels[j], grads[j], hessians[j])
-            k, K, vm = _insegment_step(cost, jacs[j], vm, lam)
+            k, K, vm = _insegment_step(cost, node.insegment_jacobians[j], vm, lam)
             gains.open[(h, j)] = k
             gains.feedback[(h, j)] = K
         value_models[h] = vm
@@ -500,6 +552,7 @@ def solve(
         u_init = _zero_controls(seg, model.num_latents, model.control_dim)
     tree = forward_pass(model, x0, b0, u_init, None, None, 1.0, seg)
     cost = evaluate_tree_cost(model, tree)
+    linearization = linearize(model, tree)
     lam = REGULARIZATION_INIT
     log: List[dict] = []
     converged = False
@@ -509,7 +562,9 @@ def solve(
     while True:
         # After the last iteration this is the backward pass of the returned
         # tree, so its gains and value models are not those of its parent.
-        step = _regularized_backward_pass(model, tree, lam)
+        # A rejected step sweeps the same linearization again at a larger
+        # lambda.
+        step = _regularized_backward_pass(linearization, lam)
         if step is None:
             gains, vms = GainSchedule(), {}
             break
@@ -544,6 +599,7 @@ def solve(
             continue
 
         alpha, tree, new_cost = accepted
+        linearization = linearize(model, tree)
         rel = (cost - new_cost) / max(1.0, abs(cost))
         cost = new_cost
         lam = max(lam / 2.0, REGULARIZATION_MIN)
@@ -554,13 +610,13 @@ def solve(
     return _finish(tree, gains, vms, log, converged, cost)
 
 
-def _regularized_backward_pass(model, tree, lam):
+def _regularized_backward_pass(linearization, lam):
     """`backward_pass` at `lam`, multiplying it by `REGULARIZATION_FACTOR`
     on failure. Returns (gains, value models, lam), or None once lam passes
     `REGULARIZATION_MAX`."""
     while True:
         try:
-            gains, vms = backward_pass(model, tree, lam)
+            gains, vms = backward_pass(linearization, lam)
             return gains, vms, lam
         except BackwardFailureError:
             lam *= REGULARIZATION_FACTOR

@@ -11,6 +11,7 @@ from poddp.belief import (
     DegenerateEvidenceError,
     bayes_update,
     cov_matrix,
+    floor_probs,
     gaussian_log_density,
     log_posterior_update,
     logits,
@@ -128,6 +129,24 @@ def test_bayes_two_hypothesis_gaussian_oracle():
 def test_degenerate_evidence_raises():
     with pytest.raises(DegenerateEvidenceError):
         log_posterior_update(np.array([0.0, 0.0]), np.array([-np.inf, -np.inf]))
+
+
+def test_log_posterior_update_matches_masked_reference():
+    # The reference masks non-finite joint terms; with every term finite the
+    # update takes exp(joint - max) directly and must give the same bits.
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        log_prior = np.log(rng.dirichlet(np.ones(3)))
+        log_lik = rng.normal(size=3) * 20.0
+        if rng.uniform() < 0.5:
+            log_lik[rng.integers(3)] = -np.inf
+        joint = log_prior + log_lik
+        finite = np.isfinite(joint)
+        m = joint[finite].max()
+        w = np.where(finite, np.exp(np.where(finite, joint, m) - m), 0.0)
+        expected = floor_probs(w / w.sum())
+        got = log_posterior_update(log_prior, log_lik)
+        assert got.tobytes() == expected.tobytes()
 
 
 @given(logits_vectors)

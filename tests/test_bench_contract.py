@@ -3,10 +3,10 @@
 
 The benchmark wraps solver layers and model callbacks by name, reads some of
 their arguments by position or keyword, and imports budgets and scenario
-constants. A traced run stops with an error when a
-layer it lists is never called, so a change that deletes or renames one of
-these names breaks the benchmark, not the package's own tests. These checks
-read `bench/` and change nothing there.
+constants. A traced run stops with an error when a layer it lists is never
+called, so a change that deletes, renames or stops calling one of these
+names breaks the benchmark, not the package's own tests. These checks read
+`bench/` and change nothing there.
 """
 
 import ast
@@ -61,6 +61,29 @@ def test_traced_layers_exist():
     layers = _load("layers")
     for module, attr, _ in layers.PLAIN_SPANS:
         assert hasattr(module, attr), f"{module.__name__}.{attr}"
+
+
+def test_every_traced_layer_is_called(tmaze_scenario):
+    # A short solve and a one-episode batch, as a traced round makes them.
+    from poddp.baselines import PlannerKind
+    from poddp.harness import run_batch
+    from poddp.solver import SolverConfig, solve
+
+    layers = _load("layers")
+    sc = tmaze_scenario
+    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=3)
+    tracer = layers.Tracer()
+    with layers.traced(tracer, sc.model) as model:
+        solve(model, sc.initial_state, sc.prior, config)
+        run_batch(
+            PlannerKind.PODDP, model, sc.initial_state, sc.prior, 1, 0,
+            config, sc.control_low, sc.control_high,
+        )
+    expected = {name for _, _, name in layers.PLAIN_SPANS}
+    expected |= {"solver.forward_pass", "solver.backward_pass"}
+    expected |= {f"scenarios.{cb}" for cb in layers.CALLBACKS}
+    uncalled = sorted(name for name in expected if tracer.layers[name].calls == 0)
+    assert not uncalled
 
 
 def test_traced_callbacks_are_model_fields():

@@ -11,7 +11,7 @@ from poddp.belief import Belief
 from poddp.scenarios import build_scenario
 from poddp.scenarios import lane_change, terrain, tmaze
 from poddp.scenarios.config import ConfigError, apply_overrides, config_hash, default_config, parse_config
-from poddp.scenarios.idm import IDMParams, idm_accel_with_partials
+from poddp.scenarios.idm import IDMParams, idm_accel, idm_accel_with_partials
 from poddp.scenarios.vehicle import (
     PX,
     PY,
@@ -284,6 +284,26 @@ def test_idm_partials_match_finite_differences():
         f = lambda v: idm_accel_with_partials(v[0], v[1], v[2], v[3], v[4], p)[0]
         fd = numerical_gradient(f, pt)
         assert np.max(np.abs(partials - fd)) < 1e-5
+
+
+def test_idm_accel_is_the_value_of_idm_accel_with_partials():
+    # The dynamics use the value alone; it must be the same float, bit for
+    # bit, including where the softplus floor of the gap takes over.
+    p = _example_params(yield_onset=3.0, gap_floor=4.0)
+    rng = np.random.default_rng(8)
+    near_floor = p.gap_floor + np.concatenate(
+        [[0.0], rng.uniform(-1e-3, 1e-3, 10), rng.uniform(-1e-9, 1e-9, 10)]
+    )
+    for gap in np.concatenate([rng.uniform(-10, 40, 30), near_floor]):
+        args = (
+            float(gap),                   # ego_lon
+            float(rng.uniform(0, 20)),    # ego_v
+            0.0,                          # other_lon
+            float(rng.uniform(0, 20)),    # other_v
+            float(rng.uniform(0, 1)),     # overlap
+        )
+        value = idm_accel(*args, p)
+        assert value.hex() == idm_accel_with_partials(*args, p)[0].hex(), args
 
 
 def test_idm_monotone_in_closing_speed():

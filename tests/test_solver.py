@@ -1,5 +1,6 @@
 """PODDP solver: forward pass, tree cost, Q-expansion, backward pass, solve."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from poddp.belief import BELIEF_FLOOR, Belief, bayes_update, softmax
 from poddp.model import ProblemModel, numerical_jacobian
+import poddp.solver
 from poddp.solver import (
     REGULARIZATION_FACTOR,
+    REGULARIZATION_INIT,
     REGULARIZATION_MAX,
     BackwardFailureError,
     GainSchedule,
@@ -24,6 +27,7 @@ from poddp.solver import (
     backward_pass,
     evaluate_tree_cost,
     forward_pass,
+    linearize,
     optimize_control,
     solve,
     terminal_value_model,
@@ -230,13 +234,18 @@ def _step_cost(model, x, beta, u):
     return levels[0], grads[0], hessians[0]
 
 
-def _terminal_children(model, x, beta, u):
+def _branches(model, x, beta, u):
+    """`_branch_jacobians` of every latent: (successors, Jacobians)."""
+    succs, jacs = zip(
+        *(_branch_jacobians(model, x, beta, u, z) for z in range(model.num_latents))
+    )
+    return succs, list(jacs)
+
+
+def _terminal_children(model, succs):
     """The value model of each branch's successor when the children are
     leaves of length zero: the expected final cost at the successor."""
     n = model.state_dim
-    succs = [
-        _branch_jacobians(model, x, beta, u, z)[0] for z in range(model.num_latents)
-    ]
     return [terminal_value_model(model, s[:n], s[n:]) for s in succs]
 
 
@@ -244,8 +253,9 @@ def test_optimize_control_zero_problem_gives_zero_gains():
     model = _linear_cost_model(0.0)
     x, beta, u = np.zeros(1), np.log(np.array([0.5, 0.5])), np.zeros(1)
     cost = _step_cost(model, x, beta, u)
-    children = _terminal_children(model, x, beta, u)
-    k, gain, vm = optimize_control(model, x, beta, u, cost, children, lam=1e-6)
+    succs, jacs = _branches(model, x, beta, u)
+    children = _terminal_children(model, succs)
+    k, gain, vm = optimize_control(cost, beta, jacs, children, lam=1e-6)
     np.testing.assert_allclose(k, 0.0, atol=1e-12)
     np.testing.assert_allclose(gain, 0.0, atol=1e-12)
     assert abs(vm.dv) < 1e-12
@@ -269,7 +279,8 @@ def test_optimize_control_one_step_lqr_closed_form():
     child = QuadraticValueModel(dv=0.0, v_s=v_s, v_ss=v_ss, cost_to_go=0.0)
     beta = np.zeros(1)
     cost = _step_cost(model, x, beta, u_bar)
-    k, _, _ = optimize_control(model, x, beta, u_bar, cost, [child], lam=0.0)
+    _, jacs = _branches(model, x, beta, u_bar)
+    k, _, _ = optimize_control(cost, beta, jacs, [child], lam=0.0)
     # One-step LQR oracle around the same expansion point.
     b_mat = lqr.b
     q_u = lqr.r @ u_bar + b_mat.T @ p_vec
@@ -282,8 +293,9 @@ def test_optimize_control_symmetric_belief_no_lateral_preference(tmaze_scenario)
     sc = tmaze_scenario
     x, beta, u = sc.initial_state, np.log(np.array([0.5, 0.5])), np.zeros(2)
     cost = _step_cost(sc.model, x, beta, u)
-    children = _terminal_children(sc.model, x, beta, u)
-    k, _, _ = optimize_control(sc.model, x, beta, u, cost, children, lam=1e-6)
+    succs, jacs = _branches(sc.model, x, beta, u)
+    children = _terminal_children(sc.model, succs)
+    k, _, _ = optimize_control(cost, beta, jacs, children, lam=1e-6)
     assert abs(k[0]) < 1e-8  # steering component
 
 
@@ -308,7 +320,7 @@ def test_backward_pass_single_latent_matches_plain_ddp_gains():
     us = rng.standard_normal((6, 2)) * 0.2
     tree = _chain_tree(model, lqr.x0[:3], us)
     lam = 1e-6
-    gains, _ = backward_pass(model, tree, lam=lam)
+    gains, _ = backward_pass(linearize(model, tree), lam=lam)
     ks, bigks = ref_backward(model, tree.xs[()], us, lam)
     for j in range(6):
         np.testing.assert_allclose(gains.open[((), j)], ks[j], atol=1e-10)
@@ -773,7 +785,7 @@ def test_returned_gains_are_computed_on_the_returned_tree(name, request):
     lam = result.iterations[-1]["lambda"]
     while True:
         try:
-            gains, vms = backward_pass(sc.model, tree, lam)
+            gains, vms = backward_pass(linearize(sc.model, tree), lam)
             break
         except BackwardFailureError:
             lam *= REGULARIZATION_FACTOR
@@ -855,3 +867,90 @@ def test_divergent_line_search_trials_are_rejected(limit, mode):
     assert result.cost < initial_cost
     assert np.isfinite(result.tree.xs[()]).all()
     assert np.max(np.abs(result.tree.controls[()])) <= limit
+
+
+# ---------------------------------------------------------------------------
+# One linearization per nominal tree, and the cold solves it must not move
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_sweeps_over_one_linearization_equal_fresh_backward_passes(lanechange_scenario):
+    sc = lanechange_scenario
+    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=0)
+    tree = solve(sc.model, sc.initial_state, sc.prior, config).tree  # the cold tree
+    reused = linearize(sc.model, tree)
+    # Q_uu of the cold lane-change tree is indefinite at the initial lambda.
+    for lin in (reused, linearize(sc.model, tree)):
+        with pytest.raises(BackwardFailureError):
+            backward_pass(lin, REGULARIZATION_INIT)
+    for lam in (1.0, 1e3):
+        gains, vms = backward_pass(reused, lam)
+        fresh_gains, fresh_vms = backward_pass(linearize(sc.model, tree), lam)
+        assert gains.open.keys() == fresh_gains.open.keys()
+        for key in gains.open:
+            assert _same_bits(gains.open[key], fresh_gains.open[key])
+            assert _same_bits(gains.feedback[key], fresh_gains.feedback[key])
+        assert vms.keys() == fresh_vms.keys() == tree.controls.keys()
+        for h, vm in vms.items():
+            for name in ("dv", "v_s", "v_ss", "cost_to_go"):
+                assert _same_bits(getattr(vm, name), getattr(fresh_vms[h], name))
+
+
+# Cold solves at the CLI's SOLVE_BUDGET: (iterations, repr(cost), SHA-256 of
+# repr(iterations), linearizations formed). Changes that make the solver
+# faster keep these values exactly; only a change that states why it alters
+# what the solver computes may move them.
+COLD_SOLVES = {
+    "tmaze": (
+        34,
+        "290.22395229649095",
+        "717edb6433e93a7b797ed85e359f20579641e082b5a91a233a69aeb8c5335e12",
+        28,
+    ),
+    "lanechange": (
+        56,
+        "349.62161102279987",
+        "56961575af877ce3d5f05dd0983084a6a498a8c50a67f5a77396d75789afc636",
+        57,
+    ),
+    "terrain": (
+        18,
+        "308.20140500898697",
+        "d0952cb9a8b3748eb45c160d6c2dd3a1f8dde16ba72ba557b567592233b0a817",
+        19,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLD_SOLVES))
+def test_cold_solve_is_pinned_and_linearizes_each_accepted_tree_once(
+    name, request, monkeypatch
+):
+    from poddp.cli import SOLVE_BUDGET
+
+    sc = request.getfixturevalue(f"{name}_scenario")
+    linearized = []
+
+    def counting_linearize(model, tree):
+        linearized.append(tree)
+        return original(model, tree)
+
+    original = poddp.solver.linearize
+    monkeypatch.setattr(poddp.solver, "linearize", counting_linearize)
+    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, **SOLVE_BUDGET)
+    result = solve(sc.model, sc.initial_state, sc.prior, config)
+
+    iterations, cost, log_hash, linearizations = COLD_SOLVES[name]
+    assert len(result.iterations) == iterations
+    assert repr(result.cost) == cost
+    assert hashlib.sha256(repr(result.iterations).encode()).hexdigest() == log_hash
+    # The cold tree and every accepted tree, each once; a rejected step and
+    # a lambda retry sweep the linearization they already have.
+    accepted = sum(1 for row in result.iterations if row["alpha"] > 0)
+    assert len(linearized) == accepted + 1 == linearizations
+    assert len({id(tree) for tree in linearized}) == len(linearized)
+    assert linearized[-1] is result.tree
