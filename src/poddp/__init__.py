@@ -10,7 +10,6 @@ closed-loop evaluation harness (`poddp.harness`).
 from .belief import Belief, bayes_update, logits
 from .model import ProblemModel, numerical_jacobian
 from .solver import (
-    GainSchedule,
     SolveResult,
     SolverConfig,
     backward_pass,
@@ -28,7 +27,6 @@ __all__ = [
     "logits",
     "ProblemModel",
     "numerical_jacobian",
-    "GainSchedule",
     "SolveResult",
     "SolverConfig",
     "backward_pass",

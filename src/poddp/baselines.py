@@ -38,9 +38,11 @@ class ExecutablePlan:
 
     kind: PlannerKind
     result: SolveResult
-    converged: bool
-    planned_cost: float
     _control_fn: Callable[[int, np.ndarray, Belief], np.ndarray]
+
+    @property
+    def converged(self) -> bool:
+        return self.result.converged
 
     def control(self, t: int, x: np.ndarray, b: Belief) -> np.ndarray:
         return self._control_fn(t, x, b)
@@ -55,23 +57,17 @@ def _executable(
     kind: PlannerKind, result: SolveResult, width: int, deviation
 ) -> ExecutablePlan:
     """The plan of a solve: the root node's controls, plus feedback
-    K[:, :width] @ deviation(t, x, b) at the steps that have gains."""
+    K_t[:, :width] @ deviation(t, x, b) when the solve returned gains."""
     tree = result.tree
+    controls = tree.controls[ROOT]
+    feedback = tree.gains[ROOT][1] if ROOT in tree.gains else None
 
     def control_fn(t: int, x: np.ndarray, b: Belief) -> np.ndarray:
-        u = tree.controls[ROOT][t]
-        gain = tree.gains_feedback.get((ROOT, t))
-        if gain is None:
-            return u
-        return u + gain[:, :width] @ deviation(t, x, b)
+        if feedback is None:
+            return controls[t]
+        return controls[t] + feedback[t][:, :width] @ deviation(t, x, b)
 
-    return ExecutablePlan(
-        kind=kind,
-        result=result,
-        converged=result.converged,
-        planned_cost=result.cost,
-        _control_fn=control_fn,
-    )
+    return ExecutablePlan(kind=kind, result=result, _control_fn=control_fn)
 
 
 def poddp_plan(
@@ -82,7 +78,7 @@ def poddp_plan(
     x_nom, beta_nom = tree.xs[ROOT], tree.betas[ROOT]
 
     def deviation(t, x, b):
-        return np.concatenate([x - x_nom[t], logits(b.probs) - beta_nom[t]])
+        return np.concatenate([x - x_nom[t], logits(b.probs) - beta_nom])
 
     width = model.state_dim + model.num_latents
     return _executable(PlannerKind.PODDP, result, width, deviation)

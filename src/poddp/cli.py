@@ -119,7 +119,7 @@ def cmd_solve(args) -> int:
         "config_hash": config_hash(cfg),
         "config": cfg,
         "converged": result.converged,
-        "planned_cost": result.planned_cost,
+        "planned_cost": result.result.cost,
         "iterations": result.result.iterations,
         "tree": tree_to_dict(result.result.tree),
     }
@@ -128,7 +128,7 @@ def cmd_solve(args) -> int:
     status = "converged" if result.converged else "did not converge"
     print(
         f"{args.experiment}/{kind.value}: {status} "
-        f"(cost {result.planned_cost:.6g}, "
+        f"(cost {result.result.cost:.6g}, "
         f"{len(result.result.iterations)} iterations) -> {out}"
     )
     return 0 if result.converged else 2

@@ -21,12 +21,10 @@ class DifferentiationError(ArithmeticError):
     """Non-finite function evaluation during numerical differentiation."""
 
 
-def numerical_jacobian(
-    f: Callable[[np.ndarray], np.ndarray], point, rel_step: float = FD_REL_STEP
-) -> np.ndarray:
+def numerical_jacobian(f: Callable[[np.ndarray], np.ndarray], point) -> np.ndarray:
     """Central-difference Jacobian of a vector function at `point`."""
     p = np.asarray(point, dtype=float)
-    h = rel_step * np.maximum(1.0, np.abs(p))
+    h = FD_REL_STEP * np.maximum(1.0, np.abs(p))
     cols = []
     for i in range(p.size):
         dp = np.zeros_like(p)

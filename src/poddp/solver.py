@@ -12,7 +12,7 @@ state (x, beta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +30,7 @@ from .belief import (
 from .model import ProblemModel, numerical_jacobian
 from .tree import (
     HistoryPath,
+    NodeGains,
     QuadraticValueModel,
     TrajectoryTree,
 )
@@ -69,19 +70,6 @@ class SolverConfig:
         return tuple(base + (1 if i < rem else 0) for i in range(self.segments))
 
 
-@dataclass
-class GainSchedule:
-    """Per-(history, step) open-loop updates and feedback matrices."""
-
-    open: Dict[Tuple[HistoryPath, int], np.ndarray] = field(default_factory=dict)
-    feedback: Dict[Tuple[HistoryPath, int], np.ndarray] = field(default_factory=dict)
-
-    def max_open_norm(self) -> float:
-        if not self.open:
-            return 0.0
-        return max(float(np.max(np.abs(k))) for k in self.open.values())
-
-
 def node_dynamics_latent(h: HistoryPath, root_belief: np.ndarray) -> int:
     """Latent index conditioning a node's in-segment dynamics.
 
@@ -104,16 +92,17 @@ def forward_pass(
     b0: Belief,
     u_nom: Dict[HistoryPath, np.ndarray],
     s_nom: Optional[TrajectoryTree],
-    gains: Optional[GainSchedule],
+    gains: Optional[Dict[HistoryPath, NodeGains]],
     alpha: float,
     segment_lengths: Sequence[int],
 ) -> TrajectoryTree:
     """Roll the control tree from (x0, b0) through maximum-likelihood outcomes.
 
-    With `gains` present, each step applies
-    u = (u_nom + alpha * k) + K (s - s_nom); otherwise u = u_nom. At every
-    segment boundary the rollout branches once per latent value, taking the
-    mean next state and mean observation and updating the belief.
+    With `gains` present, step j of node h applies
+    u = (u_nom + alpha * k_j) + K_j (s - s_nom), with (k, K) = gains[h];
+    otherwise u = u_nom. At every segment boundary the rollout branches once
+    per latent value, taking the mean next state and mean observation and
+    updating the belief.
     """
     nz = model.num_latents
     n = model.state_dim
@@ -127,14 +116,13 @@ def forward_pass(
         z_dyn = node_dynamics_latent(h, b0.probs)
         u_rows = np.asarray(u_nom[h], dtype=float)
         if gains is not None:
-            # What stays fixed over the node: u_nom + alpha k, the gains, the
-            # nominal states and the logit deviation (the logits of a node
-            # are the same on every row).
-            u_rows = u_rows + alpha * np.array([gains.open[(h, j)] for j in range(m)])
-            feedback = [gains.feedback[(h, j)] for j in range(m)]
+            # What stays fixed over the node: u_nom + alpha k, the feedback
+            # gains, the nominal states and the logit deviation.
+            k, feedback = gains[h]
+            u_rows = u_rows + alpha * k
             x_nom = s_nom.xs[h]
             ds = np.empty(n + nz)
-            ds[n:] = beta - s_nom.betas[h][0]
+            ds[n:] = beta - s_nom.betas[h]
             dx = ds[:n]
         xs, us = [], []
         for j in range(m):
@@ -158,11 +146,9 @@ def forward_pass(
                     roll(h + (z,), x_next, np.log(b_next.probs), b_next)
         if leaf:
             xs.append(x)
-        betas = np.empty((len(xs), nz))
-        betas[:] = beta
         tree.controls[h] = np.array(us)
         tree.xs[h] = np.array(xs)
-        tree.betas[h] = betas
+        tree.betas[h] = beta
         tree.beliefs[h] = b.probs.copy()
 
     roll((), x0, logits(b0.probs), b0)
@@ -445,7 +431,7 @@ def linearize(model: ProblemModel, tree: TrajectoryTree) -> Linearization:
     nodes = {}
     for h, us in tree.controls.items():
         xs = tree.xs[h]
-        beta = tree.betas[h][0]  # the logits of a node are the same on every row
+        beta = tree.betas[h]
         leaf = tree.is_leaf(h)
         m_in = us.shape[0] if leaf else us.shape[0] - 1
         z_dyn = node_dynamics_latent(h, tree.beliefs[()])
@@ -469,7 +455,7 @@ def linearize(model: ProblemModel, tree: TrajectoryTree) -> Linearization:
 def backward_pass(
     linearization: Linearization,
     lam: float,
-) -> Tuple[GainSchedule, Dict[HistoryPath, QuadraticValueModel]]:
+) -> Tuple[Dict[HistoryPath, NodeGains], Dict[HistoryPath, QuadraticValueModel]]:
     """Depth-first, post-order dynamic programming over a linearized tree.
 
     Children are processed first; their value models combine through the
@@ -480,28 +466,28 @@ def backward_pass(
     same linearization).
     """
     tree = linearization.tree
-    gains = GainSchedule()
+    gains: Dict[HistoryPath, NodeGains] = {}
     value_models: Dict[HistoryPath, QuadraticValueModel] = {}
 
     def visit(h: HistoryPath) -> QuadraticValueModel:
         node = linearization.nodes[h]
         levels, grads, hessians = node.cost
         m = levels.shape[0]
+        k = np.empty(tree.controls[h].shape)
+        K = np.empty(k.shape + (node.insegment_jacobians.shape[1],))
         if node.terminal is not None:
             vm = node.terminal
         else:
             child_vms = [visit(h + (z,)) for z in range(tree.num_latents)]
             j = m - 1
             cost = (levels[j], grads[j], hessians[j])
-            beta = tree.betas[h][0]
-            k, K, vm = optimize_control(cost, beta, node.branch_jacobians, child_vms, lam)
-            gains.open[(h, j)] = k
-            gains.feedback[(h, j)] = K
+            k[j], K[j], vm = optimize_control(
+                cost, tree.betas[h], node.branch_jacobians, child_vms, lam
+            )
         for j in reversed(range(node.insegment_jacobians.shape[0])):
             cost = (levels[j], grads[j], hessians[j])
-            k, K, vm = _insegment_step(cost, node.insegment_jacobians[j], vm, lam)
-            gains.open[(h, j)] = k
-            gains.feedback[(h, j)] = K
+            k[j], K[j], vm = _insegment_step(cost, node.insegment_jacobians[j], vm, lam)
+        gains[h] = (k, K)
         value_models[h] = vm
         return vm
 
@@ -566,13 +552,13 @@ def solve(
         # lambda.
         step = _regularized_backward_pass(linearization, lam)
         if step is None:
-            gains, vms = GainSchedule(), {}
+            gains, vms = {}, {}
             break
         gains, vms, lam = step
         if stop:
             break
         it += 1
-        grad_norm = gains.max_open_norm()
+        grad_norm = max(float(np.max(np.abs(k))) for k, _ in gains.values())
         if grad_norm < config.gradient_tolerance:
             log.append(_log_row(it, cost, 0.0, lam, grad_norm))
             converged = True
@@ -607,7 +593,8 @@ def solve(
         converged = rel < config.cost_tolerance
         stop = converged or it == config.max_iterations
 
-    return _finish(tree, gains, vms, log, converged, cost)
+    tree.gains, tree.value_models = gains, vms
+    return SolveResult(tree, log, converged, cost)
 
 
 def _regularized_backward_pass(linearization, lam):
@@ -622,14 +609,6 @@ def _regularized_backward_pass(linearization, lam):
             lam *= REGULARIZATION_FACTOR
             if lam > REGULARIZATION_MAX:
                 return None
-
-
-def _finish(tree, gains, vms, log, converged, cost) -> SolveResult:
-    """Attach the gains and value models computed on `tree` to it."""
-    tree.value_models = vms
-    tree.gains_open = dict(gains.open)
-    tree.gains_feedback = dict(gains.feedback)
-    return SolveResult(tree, log, converged, cost)
 
 
 def _log_row(iteration, cost, alpha, lam, gradient_norm):

@@ -3,9 +3,9 @@
 A tree node is identified by its history: the tuple of latent indices taken
 at successive branch points (the empty tuple is the root). Branching happens
 only at segment ends, so a solve with k segments stores histories of
-length < k. Each node carries the controls and belief states of one segment;
-the backward pass attaches per-step gains and one quadratic value model per
-node.
+length < k. Each node carries the controls, states and logits of one
+segment; the backward pass attaches the segment's stacked gains and one
+quadratic value model per node.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 HistoryPath = Tuple[int, ...]
+# A node's open-loop gains (m, nu) and feedback gains (m, nu, n + nz), one row
+# per step of its segment.
+NodeGains = Tuple[np.ndarray, np.ndarray]
 
 
 def history_string(h: HistoryPath) -> str:
@@ -42,9 +45,10 @@ class TrajectoryTree:
     """Storage for one forward-pass rollout over all latent-outcome histories.
 
     For a node h owning segment d = len(h): `controls[h]` has one row per
-    step; `xs[h]` / `betas[h]` hold the belief states at which those controls
-    are applied. Leaf nodes store one extra terminal state. `beliefs[h]` is
-    the node's entering belief (constant within the segment).
+    step and `xs[h]` the states at which those controls are applied; leaf
+    nodes store one extra terminal state. `beliefs[h]` is the node's
+    entering belief and `betas[h]` its logits, both constant within the
+    segment; `gains[h]` holds the node's gains.
     """
 
     num_latents: int
@@ -53,8 +57,7 @@ class TrajectoryTree:
     xs: Dict[HistoryPath, np.ndarray] = field(default_factory=dict)
     betas: Dict[HistoryPath, np.ndarray] = field(default_factory=dict)
     beliefs: Dict[HistoryPath, np.ndarray] = field(default_factory=dict)
-    gains_open: Dict[Tuple[HistoryPath, int], np.ndarray] = field(default_factory=dict)
-    gains_feedback: Dict[Tuple[HistoryPath, int], np.ndarray] = field(default_factory=dict)
+    gains: Dict[HistoryPath, NodeGains] = field(default_factory=dict)
     value_models: Dict[HistoryPath, QuadraticValueModel] = field(default_factory=dict)
 
     @property
@@ -71,7 +74,7 @@ class TrajectoryTree:
         """Terminal (x, beta) of a leaf node."""
         if not self.is_leaf(h):
             raise ValueError("terminal state only exists at leaf nodes")
-        return self.xs[h][-1], self.betas[h][-1]
+        return self.xs[h][-1], self.betas[h]
 
 
 def tree_to_dict(tree: TrajectoryTree) -> dict:
@@ -82,21 +85,13 @@ def tree_to_dict(tree: TrajectoryTree) -> dict:
         node = {
             "controls": np.asarray(tree.controls[h]).tolist(),
             "states": np.asarray(tree.xs[h]).tolist(),
-            "state_logits": np.asarray(tree.betas[h]).tolist(),
+            "state_logits": [np.asarray(tree.betas[h]).tolist()] * len(tree.xs[h]),
             "belief": np.asarray(tree.beliefs[h]).tolist(),
         }
-        gains_k = {}
-        gains_K = {}
-        for (hh, step), k in sorted(tree.gains_open.items()):
-            if hh == h:
-                gains_k[str(step)] = np.asarray(k).tolist()
-        for (hh, step), K in sorted(tree.gains_feedback.items()):
-            if hh == h:
-                gains_K[str(step)] = np.asarray(K).tolist()
-        if gains_k:
-            node["gains_open"] = gains_k
-        if gains_K:
-            node["gains_feedback"] = gains_K
+        if h in tree.gains:
+            k, K = tree.gains[h]
+            node["gains_open"] = {str(j): row.tolist() for j, row in enumerate(k)}
+            node["gains_feedback"] = {str(j): row.tolist() for j, row in enumerate(K)}
         nodes[key] = node
     return {
         "num_latents": tree.num_latents,

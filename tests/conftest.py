@@ -43,6 +43,19 @@ def numerical_gradient(f, point) -> np.ndarray:
     return g
 
 
+def numerical_gradient_jacobian(grad, point) -> np.ndarray:
+    """Central-difference Jacobian of a gradient function, at the wider
+    FD_HESS_REL_STEP: second derivatives from first-derivative oracles."""
+    p = np.asarray(point, dtype=float)
+    h = FD_HESS_REL_STEP * np.maximum(1.0, np.abs(p))
+    cols = []
+    for i in range(p.size):
+        dp = np.zeros_like(p)
+        dp[i] = h[i]
+        cols.append((grad(p + dp) - grad(p - dp)) / (2.0 * h[i]))
+    return np.column_stack(cols)
+
+
 def symmetrize(h: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.T)
 

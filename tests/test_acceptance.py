@@ -134,7 +134,7 @@ def test_criterion_03_q_derivatives(tmaze_solved, terrain_solved, lanechange_sol
             h = branch_nodes[rng.integers(len(branch_nodes))]
             j = tree.controls[h].shape[0] - 1
             x = tree.xs[h][j] + rng.standard_normal(sc.model.state_dim) * 0.01
-            beta = tree.betas[h][j] + rng.standard_normal(sc.model.num_latents) * 0.01
+            beta = tree.betas[h] + rng.standard_normal(sc.model.num_latents) * 0.01
             u = np.clip(tree.controls[h][j], -hi, hi)
             u = u + rng.standard_normal(sc.model.control_dim) * 0.01
             child_vms = [tree.value_models.get(h + (z,)) for z in range(tree.num_latents)]

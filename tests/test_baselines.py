@@ -1,11 +1,13 @@
 """MLDDP and PWDDP baselines."""
 
 import numpy as np
+import pytest
 
+import poddp.solver
 from poddp.baselines import PlannerKind, plan, pwddp_plan, mlddp_plan, stacked_model
 from poddp.belief import Belief
 from poddp.model import condition_on_latent
-from poddp.solver import SolverConfig, solve
+from poddp.solver import BackwardFailureError, SolverConfig, solve
 
 from conftest import make_latent_linear_model
 
@@ -124,3 +126,24 @@ def test_plan_dispatch_returns_executable(tmaze_scenario):
         u = p.control(0, sc.initial_state, sc.prior)
         assert u.shape == (2,)
         assert np.isfinite(u).all()
+
+
+@pytest.mark.parametrize("kind", list(PlannerKind))
+def test_plan_without_gains_applies_its_nominal_controls(kind, tmaze_scenario, monkeypatch):
+    # When the backward pass fails at every lambda, the solve returns the
+    # rolled-out tree with no gains and no value models, and the plan
+    # applies that tree's controls with no feedback.
+    def failing_backward_pass(linearization, lam):
+        raise BackwardFailureError("Q_uu not positive definite")
+
+    monkeypatch.setattr(poddp.solver, "backward_pass", failing_backward_pass)
+    sc = tmaze_scenario
+    p = plan(kind, sc.model, sc.initial_state, sc.prior, _tmaze_config(sc))
+    tree = p.result.tree
+    assert tree.gains == {} and tree.value_models == {}
+    assert not p.converged and p.result.iterations == []
+    rng = np.random.default_rng(4)
+    for t in range(tree.segment_lengths[0]):
+        x = sc.initial_state + rng.standard_normal(sc.model.state_dim)
+        b = Belief(np.array([0.3, 0.7]))
+        np.testing.assert_array_equal(p.control(t, x, b), tree.controls[()][t])

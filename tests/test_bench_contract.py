@@ -160,3 +160,24 @@ def test_run_batch_takes_the_bounds_where_the_bench_passes_them():
         passed = dict(zip(params, (ast.unparse(a) for a in call.args)))
         assert passed["control_low"].endswith(".control_low")
         assert passed["control_high"].endswith(".control_high")
+
+
+def test_a_plan_exposes_what_the_bench_reads(tmaze_scenario):
+    # bench/run.py reads a plan's `converged` and its solve's tree, cost and
+    # iteration log.
+    from poddp.baselines import PlannerKind, plan
+    from poddp.solver import SolverConfig
+    from poddp.tree import TrajectoryTree
+
+    sc = tmaze_scenario
+    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=3)
+    p = plan(PlannerKind.PODDP, sc.model, sc.initial_state, sc.prior, config)
+    assert isinstance(p.result.tree, TrajectoryTree)
+    assert isinstance(p.result.cost, float)
+    assert len(p.result.iterations) == 3
+    assert p.converged == p.result.converged
+    # `converged` reads the solve's flag; it is not a copy and not settable.
+    p.result.converged = not p.result.converged
+    assert p.converged == p.result.converged
+    with pytest.raises(AttributeError):
+        p.converged = True

@@ -9,7 +9,7 @@ from poddp.model import ProblemModel, numerical_jacobian
 from poddp.scenarios import build_scenario
 from poddp.scenarios.vehicle import PX, BicycleParams, bicycle_jacobians, bicycle_step
 
-from conftest import FD_HESS_REL_STEP, numerical_gradient, symmetrize
+from conftest import numerical_gradient, numerical_gradient_jacobian, symmetrize
 
 
 def test_numerical_jacobian_linear_exact():
@@ -60,8 +60,8 @@ def test_quadratic_cost_derivatives_exact():
     x, u = rng.standard_normal(3), rng.standard_normal(2)
     grad_x = lambda xx: numerical_gradient(lambda p: model.running_cost(p, u, 0), xx)
     grad_u = lambda uu: numerical_gradient(lambda p: model.running_cost(x, p, 0), uu)
-    l_xx = symmetrize(numerical_jacobian(grad_x, x, FD_HESS_REL_STEP))
-    l_uu = symmetrize(numerical_jacobian(grad_u, u, FD_HESS_REL_STEP))
+    l_xx = symmetrize(numerical_gradient_jacobian(grad_x, x))
+    l_uu = symmetrize(numerical_gradient_jacobian(grad_u, u))
     exact = model.running_cost_derivatives(x, u, 0)
     for got, want in zip((grad_x(x), grad_u(u), l_xx, l_uu), exact[:3] + exact[4:]):
         np.testing.assert_allclose(got, want, atol=1e-8)

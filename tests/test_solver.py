@@ -1,6 +1,7 @@
 """PODDP solver: forward pass, tree cost, Q-expansion, backward pass, solve."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from poddp.solver import (
     REGULARIZATION_INIT,
     REGULARIZATION_MAX,
     BackwardFailureError,
-    GainSchedule,
     SolverConfig,
     _branch_jacobians,
     _cost_expansion,
@@ -32,14 +32,14 @@ from poddp.solver import (
     solve,
     terminal_value_model,
 )
-from poddp.tree import TrajectoryTree
+from poddp.tree import TrajectoryTree, tree_to_dict
 
 from conftest import (
-    FD_HESS_REL_STEP,
     lqr_problem_model,
     make_latent_linear_model,
     make_lqr_problem,
     numerical_gradient,
+    numerical_gradient_jacobian,
     ref_backward,
     ref_ddp_solve,
     ref_rollout,
@@ -83,14 +83,12 @@ def test_forward_pass_alpha_zero_on_nominal_keeps_controls():
     b0 = Belief(np.array([0.4, 0.6]))
     x0 = np.array([1.0, 0.5])
     nominal = forward_pass(model, x0, b0, u_nom, None, None, 1.0, lengths)
-    gains = GainSchedule()
     rng = np.random.default_rng(6)
-    for h, us in nominal.controls.items():
-        for j in range(us.shape[0]):
-            gains.open[(h, j)] = rng.standard_normal(model.control_dim)
-            gains.feedback[(h, j)] = rng.standard_normal(
-                (model.control_dim, model.state_dim + model.num_latents)
-            )
+    ns = model.state_dim + model.num_latents
+    gains = {
+        h: (rng.standard_normal(us.shape), rng.standard_normal(us.shape + (ns,)))
+        for h, us in nominal.controls.items()
+    }
     replay = forward_pass(model, x0, b0, nominal.controls, nominal, gains, 0.0, lengths)
     for h, us in nominal.controls.items():
         np.testing.assert_allclose(replay.controls[h], us, atol=1e-12)
@@ -308,7 +306,7 @@ def _chain_tree(model, x0, us):
     xs = ref_rollout(model, x0, us)
     tree.controls[()] = np.asarray(us, float)
     tree.xs[()] = xs
-    tree.betas[()] = np.zeros((len(us) + 1, 1))
+    tree.betas[()] = np.zeros(1)
     tree.beliefs[()] = np.ones(1)
     return tree
 
@@ -321,14 +319,14 @@ def test_backward_pass_single_latent_matches_plain_ddp_gains():
     tree = _chain_tree(model, lqr.x0[:3], us)
     lam = 1e-6
     gains, _ = backward_pass(linearize(model, tree), lam=lam)
+    k, K = gains[()]
+    assert k.shape == (6, 2) and K.shape == (6, 2, 4)
     ks, bigks = ref_backward(model, tree.xs[()], us, lam)
     for j in range(6):
-        np.testing.assert_allclose(gains.open[((), j)], ks[j], atol=1e-10)
+        np.testing.assert_allclose(k[j], ks[j], atol=1e-10)
         # x-block of the feedback gain; the belief column is identically zero.
-        np.testing.assert_allclose(
-            gains.feedback[((), j)][:, :3], bigks[j], atol=1e-10
-        )
-        np.testing.assert_allclose(gains.feedback[((), j)][:, 3:], 0.0, atol=1e-10)
+        np.testing.assert_allclose(K[j][:, :3], bigks[j], atol=1e-10)
+        np.testing.assert_allclose(K[j][:, 3:], 0.0, atol=1e-10)
 
 
 def test_converged_solve_has_small_open_loop_gains(lqr):
@@ -336,7 +334,7 @@ def test_converged_solve_has_small_open_loop_gains(lqr):
     config = SolverConfig(horizon=lqr.horizon, segments=1, cost_tolerance=1e-12)
     result = solve(model, lqr.x0, Belief(np.ones(1)), config)
     assert result.converged
-    assert max(np.max(np.abs(k)) for k in result.tree.gains_open.values()) < 1e-4
+    assert max(np.max(np.abs(k)) for k, _ in result.tree.gains.values()) < 1e-4
 
 
 def test_zero_cost_problem_converges_immediately():
@@ -471,7 +469,7 @@ def _branch_points(sc, seed, count=20):
         h = branch_nodes[rng.integers(len(branch_nodes))]
         j = tree.controls[h].shape[0] - 1
         x = tree.xs[h][j] + rng.standard_normal(sc.model.state_dim) * 0.01
-        beta = tree.betas[h][j] + rng.standard_normal(sc.model.num_latents) * 0.01
+        beta = tree.betas[h] + rng.standard_normal(sc.model.num_latents) * 0.01
         u = np.clip(tree.controls[h][j], -hi, hi) + rng.standard_normal(
             sc.model.control_dim
         ) * 0.01
@@ -621,7 +619,7 @@ def _insegment_points(sc, seed, count=12):
         last = m if tree.is_leaf(h) else m - 1  # the branch step is not in-segment
         j = int(rng.integers(last))
         x = tree.xs[h][j] + rng.standard_normal(sc.model.state_dim) * 0.01
-        beta = tree.betas[h][j] + rng.standard_normal(sc.model.num_latents) * 0.01
+        beta = tree.betas[h] + rng.standard_normal(sc.model.num_latents) * 0.01
         u = np.clip(tree.controls[h][j], -hi, hi) + rng.standard_normal(
             sc.model.control_dim
         ) * 0.01
@@ -720,9 +718,9 @@ def test_insegment_q_derivatives_match_finite_differences(name, request):
         fd = {
             "q_s": grad_s(s_bar, u),
             "q_u": grad_u(s_bar, u),
-            "q_ss": numerical_jacobian(lambda sv: grad_s(sv, u), s_bar, FD_HESS_REL_STEP),
-            "q_su": numerical_jacobian(lambda uv: grad_s(s_bar, uv), u, FD_HESS_REL_STEP),
-            "q_uu": numerical_jacobian(lambda uv: grad_u(s_bar, uv), u, FD_HESS_REL_STEP),
+            "q_ss": numerical_gradient_jacobian(lambda sv: grad_s(sv, u), s_bar),
+            "q_su": numerical_gradient_jacobian(lambda uv: grad_s(s_bar, uv), u),
+            "q_uu": numerical_gradient_jacobian(lambda uv: grad_u(s_bar, uv), u),
         }
         analytic = {
             "q_s": q[:ns],
@@ -790,13 +788,10 @@ def test_returned_gains_are_computed_on_the_returned_tree(name, request):
         except BackwardFailureError:
             lam *= REGULARIZATION_FACTOR
             assert lam <= REGULARIZATION_MAX
-    assert set(tree.gains_open) == set(gains.open)
-    assert set(tree.gains_feedback) == set(gains.feedback)
-    for key, k in gains.open.items():
-        np.testing.assert_allclose(tree.gains_open[key], k, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(
-            tree.gains_feedback[key], gains.feedback[key], rtol=1e-12, atol=1e-12
-        )
+    assert tree.gains.keys() == gains.keys() == tree.controls.keys()
+    for h, (k, K) in gains.items():
+        np.testing.assert_allclose(tree.gains[h][0], k, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(tree.gains[h][1], K, rtol=1e-12, atol=1e-12)
     for h, vm in vms.items():
         np.testing.assert_allclose(tree.value_models[h].v_s, vm.v_s, rtol=1e-12, atol=1e-12)
 
@@ -890,10 +885,10 @@ def test_sweeps_over_one_linearization_equal_fresh_backward_passes(lanechange_sc
     for lam in (1.0, 1e3):
         gains, vms = backward_pass(reused, lam)
         fresh_gains, fresh_vms = backward_pass(linearize(sc.model, tree), lam)
-        assert gains.open.keys() == fresh_gains.open.keys()
-        for key in gains.open:
-            assert _same_bits(gains.open[key], fresh_gains.open[key])
-            assert _same_bits(gains.feedback[key], fresh_gains.feedback[key])
+        assert gains.keys() == fresh_gains.keys() == tree.controls.keys()
+        for h, (k, K) in gains.items():
+            assert _same_bits(k, fresh_gains[h][0])
+            assert _same_bits(K, fresh_gains[h][1])
         assert vms.keys() == fresh_vms.keys() == tree.controls.keys()
         for h, vm in vms.items():
             for name in ("dv", "v_s", "v_ss", "cost_to_go"):
@@ -901,27 +896,31 @@ def test_sweeps_over_one_linearization_equal_fresh_backward_passes(lanechange_sc
 
 
 # Cold solves at the CLI's SOLVE_BUDGET: (iterations, repr(cost), SHA-256 of
-# repr(iterations), linearizations formed). Changes that make the solver
-# faster keep these values exactly; only a change that states why it alters
-# what the solver computes may move them.
+# repr(iterations), linearizations formed, SHA-256 of the serialized tree as
+# json.dumps(tree_to_dict(tree), sort_keys=True)). Changes that make the
+# solver faster or simpler keep these values exactly; only a change that
+# states why it alters what the solver computes may move them.
 COLD_SOLVES = {
     "tmaze": (
         34,
         "290.22395229649095",
         "717edb6433e93a7b797ed85e359f20579641e082b5a91a233a69aeb8c5335e12",
         28,
+        "b9e63d9a08b82f79a8998abaaae81f9fe9f6e2994844ae4aa88d84e87c5561f1",
     ),
     "lanechange": (
         56,
         "349.62161102279987",
         "56961575af877ce3d5f05dd0983084a6a498a8c50a67f5a77396d75789afc636",
         57,
+        "fc6b710c6257bc6cfedac88d56e00df31be0c475618aa6da38cfd73a9e07efc9",
     ),
     "terrain": (
         18,
         "308.20140500898697",
         "d0952cb9a8b3748eb45c160d6c2dd3a1f8dde16ba72ba557b567592233b0a817",
         19,
+        "5037903323e10b053111255a6fd09c6303c17f5fe3211e390f40c23434dd9adf",
     ),
 }
 
@@ -944,10 +943,12 @@ def test_cold_solve_is_pinned_and_linearizes_each_accepted_tree_once(
     config = SolverConfig(horizon=sc.horizon, segments=sc.segments, **SOLVE_BUDGET)
     result = solve(sc.model, sc.initial_state, sc.prior, config)
 
-    iterations, cost, log_hash, linearizations = COLD_SOLVES[name]
+    iterations, cost, log_hash, linearizations, tree_hash = COLD_SOLVES[name]
     assert len(result.iterations) == iterations
     assert repr(result.cost) == cost
     assert hashlib.sha256(repr(result.iterations).encode()).hexdigest() == log_hash
+    serialized = json.dumps(tree_to_dict(result.tree), sort_keys=True)
+    assert hashlib.sha256(serialized.encode()).hexdigest() == tree_hash
     # The cold tree and every accepted tree, each once; a rejected step and
     # a lambda retry sweep the linearization they already have.
     accepted = sum(1 for row in result.iterations if row["alpha"] > 0)

@@ -94,19 +94,18 @@ def test_serialization_round_trip_bit_exact(tmaze_scenario):
         node = back["nodes"][history_string(h)]
         np.testing.assert_array_equal(node["controls"], tree.controls[h])
         np.testing.assert_array_equal(node["states"], tree.xs[h])
-        np.testing.assert_array_equal(node["state_logits"], tree.betas[h])
+        # One row of logits per state, each the node's one logit vector.
+        assert len(node["state_logits"]) == len(tree.xs[h])
+        for row in node["state_logits"]:
+            np.testing.assert_array_equal(row, tree.betas[h])
         np.testing.assert_array_equal(node["belief"], tree.beliefs[h])
-    assert tree.gains_open
-    for (h, step), k in tree.gains_open.items():
+    assert tree.gains.keys() == tree.controls.keys()
+    for h, (k, K) in tree.gains.items():
         node = back["nodes"][history_string(h)]
-        np.testing.assert_array_equal(node["gains_open"][str(step)], k)
-        np.testing.assert_array_equal(
-            node["gains_feedback"][str(step)], tree.gains_feedback[(h, step)]
-        )
-    for h in tree.controls:
-        node = back["nodes"][history_string(h)]
-        steps = {(h, int(step)) for step in node.get("gains_open", {})}
-        assert steps == {key for key in tree.gains_open if key[0] == h}
+        steps = [str(j) for j in range(len(tree.controls[h]))]
+        assert sorted(node["gains_open"]) == sorted(node["gains_feedback"]) == sorted(steps)
+        np.testing.assert_array_equal([node["gains_open"][j] for j in steps], k)
+        np.testing.assert_array_equal([node["gains_feedback"][j] for j in steps], K)
 
 
 def test_tree_dict_layout(tmaze_scenario):
