@@ -4,6 +4,10 @@ Beliefs over the latent values are carried in two forms: a probability
 vector (`Belief`) and an unconstrained logit vector (`logits`) related by a
 softmax. The solver differentiates through the logit parameterization, so
 perturbations never leave the probability simplex.
+
+A step's evidence is Gaussian with independent coordinates: the model gives
+its observation and transition noise as vectors of per-coordinate variances,
+and `log_likelihoods` sums the two log densities for every latent value.
 """
 
 from __future__ import annotations
@@ -76,35 +80,16 @@ def softmax_derivatives(beta: np.ndarray):
     return p, jac, hess
 
 
-def cov_matrix(cov, dim: int) -> np.ndarray:
-    """A covariance in any format `gaussian_log_density` accepts (scalar
-    variance, per-dimension variances or full matrix) as a full matrix."""
-    c = np.asarray(cov, dtype=float)
-    if c.ndim <= 1:
-        return np.diag(np.broadcast_to(c, (dim,)))
-    return c
-
-
-def gaussian_log_density(value: np.ndarray, mean: np.ndarray, cov) -> float:
-    """Log density of a (possibly diagonal) Gaussian.
-
-    `cov` may be a scalar variance, a vector of per-dimension variances, or
-    a full covariance matrix.
-    """
+def gaussian_log_density(value: np.ndarray, mean: np.ndarray, var) -> float:
+    """Log density of a Gaussian with independent coordinates; `var` holds
+    the variance of each coordinate."""
     r = np.atleast_1d(np.subtract(value, mean, dtype=float))
-    c = np.asarray(cov, dtype=float)
-    if c.ndim <= 1:
-        var = np.atleast_1d(c)
-        if var.shape != r.shape:
-            var = np.broadcast_to(var, r.shape)
-        if (var <= 0).any():
-            raise ValueError("variances must be positive")
-        return float(-0.5 * np.sum(r * r / var + np.log(2.0 * np.pi * var)))
-    sign, logdet = np.linalg.slogdet(c)
-    if sign <= 0:
-        raise ValueError("covariance must be positive definite")
-    sol = np.linalg.solve(c, r)
-    return float(-0.5 * (r @ sol + logdet + r.size * np.log(2.0 * np.pi)))
+    var = np.asarray(var, dtype=float)
+    if var.shape != r.shape:
+        raise ValueError(f"expected {r.size} variances, got shape {var.shape}")
+    if (var <= 0).any():
+        raise ValueError("variances must be positive")
+    return float(-0.5 * np.sum(r * r / var + np.log(2.0 * np.pi * var)))
 
 
 def log_posterior_update(log_prior: np.ndarray, log_likelihood: np.ndarray) -> np.ndarray:
@@ -128,23 +113,25 @@ def log_posterior_update(log_prior: np.ndarray, log_likelihood: np.ndarray) -> n
     return floor_probs(w / total)
 
 
-def bayes_update(o, x_next, u, x, b: Belief, model) -> Belief:
-    """One recursive Bayes step over the latent hypotheses.
-
-    posterior(z) is proportional to
-    p(o | x_next, z) * p(x_next | x, u, z) * b(z), with Gaussian likelihoods
-    taken from the model's observation and dynamics noise. A dynamics noise
-    of ``None`` (deterministic dynamics) contributes no evidence.
-    """
-    loglik = np.zeros(len(b))
-    for z in range(len(b)):
+def log_likelihoods(o, x_next, u, x, model) -> np.ndarray:
+    """Log-likelihood of the evidence of one step under each latent value z:
+    log p(o | x_next, z) + log p(x_next | x, u, z), both Gaussian with the
+    model's per-coordinate variances. A dynamics noise of ``None``
+    (deterministic dynamics) contributes no transition evidence."""
+    loglik = np.zeros(model.num_latents)
+    for z in range(model.num_latents):
         obs_mean = model.observation_mean(x_next, z)
-        obs_cov = model.observation_noise(x_next, z)
-        loglik[z] = gaussian_log_density(o, obs_mean, obs_cov)
-        dyn_cov = model.dynamics_noise_for(z)
-        if dyn_cov is not None:
+        loglik[z] = gaussian_log_density(o, obs_mean, model.observation_noise(x_next, z))
+        dyn_var = model.dynamics_noise_for(z)
+        if dyn_var is not None:
             dyn_mean = model.dynamics_mean(x, u, z)
-            loglik[z] += gaussian_log_density(x_next, dyn_mean, dyn_cov)
+            loglik[z] += gaussian_log_density(x_next, dyn_mean, dyn_var)
+    return loglik
+
+
+def bayes_update(o, x_next, u, x, b: Belief, model) -> Belief:
+    """One recursive Bayes step over the latent hypotheses: the posterior
+    is proportional to b(z) exp(`log_likelihoods`(z))."""
     with np.errstate(divide="ignore"):
         log_prior = np.log(b.probs)
-    return Belief(log_posterior_update(log_prior, loglik))
+    return Belief(log_posterior_update(log_prior, log_likelihoods(o, x_next, u, x, model)))

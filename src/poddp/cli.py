@@ -21,7 +21,7 @@ from .harness import (
     write_episodes_csv,
     write_summary_json,
 )
-from .scenarios import EXPERIMENTS, SCENARIOS, build_scenario
+from .scenarios import EXPERIMENTS, build_scenario
 from .scenarios.config import (
     ConfigError,
     apply_overrides,
@@ -33,9 +33,6 @@ from .solver import SolverConfig
 from .tree import tree_to_dict
 
 OUT_DIR_ENV = "PODDP_OUT_DIR"
-
-# config key of the prior probability of the first latent value, per experiment
-PRIOR_KEYS = {name: config_class.prior_key for name, (config_class, _) in SCENARIOS.items()}
 
 # the thirteen observation-uncertainty levels of the T-maze sweep
 SIGMA_LEVELS = tuple(round(0.1 + i, 1) for i in range(13))
@@ -78,14 +75,6 @@ def _resolve_config(args) -> dict:
             raise CliError(f"bad --set override {item!r}; expected key=value")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    if args.horizon is not None:
-        overrides["horizon"] = str(args.horizon)
-    if args.segments is not None:
-        overrides["segments"] = str(args.segments)
-    if args.sigma_level is not None:
-        overrides["sigma_level"] = str(args.sigma_level)
-    if args.prior is not None:
-        overrides[PRIOR_KEYS[args.experiment]] = str(args.prior)
     try:
         return apply_overrides(cfg, overrides)
     except ConfigError as exc:
@@ -241,12 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override a config key (repeatable)")
     common.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
     common.add_argument("--seed", type=int, default=0, help="base seed")
-    common.add_argument("--horizon", type=int, help="override the planning horizon")
-    common.add_argument("--segments", type=int, help="override the segment count")
-    common.add_argument("--sigma-level", type=float,
-                        help="observation uncertainty level (tmaze)")
-    common.add_argument("--prior", type=float,
-                        help="prior probability of the first latent value")
 
     parser = argparse.ArgumentParser(
         prog="poddp", description="Belief-space trajectory optimization benchmarks"

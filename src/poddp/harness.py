@@ -69,21 +69,12 @@ def episode_streams(seed: int):
     )
 
 
-def _sample_transition(model: ProblemModel, x, u, z: int, rng) -> np.ndarray:
-    mean = model.dynamics_mean(x, u, z)
-    var = model.dynamics_noise_for(z)
+def _sample(mean, var, rng) -> np.ndarray:
+    """A draw around `mean` with independent coordinates of variances `var`;
+    ``None`` (deterministic dynamics) gives `mean` itself."""
     if var is None:
         return mean
-    return mean + rng.standard_normal(model.state_dim) * np.sqrt(var)
-
-
-def _sample_observation(model: ProblemModel, x, z: int, rng) -> np.ndarray:
-    mean = np.atleast_1d(model.observation_mean(x, z))
-    cov = np.asarray(model.observation_noise(x, z), dtype=float)
-    if cov.ndim <= 1:
-        std = np.sqrt(np.atleast_1d(cov))
-        return mean + rng.standard_normal(mean.shape) * std
-    return rng.multivariate_normal(mean, cov)
+    return mean + rng.standard_normal(np.shape(mean)) * np.sqrt(var)
 
 
 def _warm_start(planner: PlannerKind, current: ExecutablePlan, seg_len: int, b: Belief):
@@ -163,10 +154,14 @@ def execute_episode(
             step_cost = float(model.running_cost(x, u, true_z))
             cumulative += step_cost
             x_prev, u_prev = x, u
-            x = _sample_transition(model, x, u, true_z, proc_rng)
+            x = _sample(
+                model.dynamics_mean(x, u, true_z), model.dynamics_noise_for(true_z), proc_rng
+            )
             steps.append(StepRecord(x_prev, u, step_cost, None, b.probs.copy()))
         if remaining_segments:
-            o = _sample_observation(model, x, true_z, obs_rng)
+            o = _sample(
+                model.observation_mean(x, true_z), model.observation_noise(x, true_z), obs_rng
+            )
             try:
                 b = bayes_update(o, x, u_prev, x_prev, b, model)
             except DegenerateEvidenceError:

@@ -53,11 +53,14 @@ class ProblemModel:
     hidden state, fully observed continuous state).
 
     All callables are deterministic, and the derivative callbacks return
-    float arrays; noise enters only through the declared covariances.
+    float arrays; noise enters only through the declared variances.
     Callbacks receive the state and control as 1-D float arrays, which may
     be views into larger arrays, so a callback must not write to them.
     The latent values are the indices 0..num_latents-1.
-    `dynamics_noise` holds one entry per latent value; ``None`` marks
+    Noise is Gaussian with independent coordinates and is given as a vector
+    of per-coordinate variances: `observation_noise(x, z)` returns shape (k,)
+    for an observation of k coordinates, and `dynamics_noise` holds one
+    entry per latent value, of shape (state_dim,) or ``None`` for
     deterministic dynamics (no transition evidence).
     """
 
@@ -66,14 +69,14 @@ class ProblemModel:
     num_latents: int
     dynamics_mean: Callable  # (x, u, z) -> x'
     observation_mean: Callable  # (x, z) -> o
-    observation_noise: Callable  # (x, z) -> covariance (scalar/diag/full)
+    observation_noise: Callable  # (x, z) -> variances (k,)
     running_cost: Callable  # (x, u, z) -> float
     final_cost: Callable  # (x, z) -> float
     dynamics_jacobians: Callable  # (x, u, z) -> (f_x, f_u)
     observation_jacobian: Callable  # (x, z) -> g_x
     running_cost_derivatives: Callable  # (x, u, z) -> (l_x, l_u, l_xx, l_xu, l_uu)
     final_cost_derivatives: Callable  # (x, z) -> (lf_x, lf_xx)
-    dynamics_noise: Optional[Sequence] = None  # per-z covariance or None
+    dynamics_noise: Optional[Sequence] = None  # per-z variances (n,) or None
 
     def __post_init__(self):
         if self.num_latents < 1:

@@ -21,8 +21,7 @@ from .belief import (
     BELIEF_FLOOR,
     Belief,
     bayes_update,
-    cov_matrix,
-    gaussian_log_density,
+    log_likelihoods,
     logits,
     softmax,
     softmax_derivatives,
@@ -259,16 +258,15 @@ def _insegment_jacobians(model: ProblemModel, xs, us, z: int) -> np.ndarray:
     return jacs
 
 
-def _branch_jacobians(model: ProblemModel, x, beta, u, z: int):
-    """Successor s'_z = (x'_z, beta'_z) of branch z and its Jacobian
-    d s'_z / d(x, beta, u), by the chain rule through dynamics, observation
-    and Bayes update.
+def _branch_jacobians(model: ProblemModel, x, beta, u, z: int) -> np.ndarray:
+    """Jacobian d s'_z / d(x, beta, u) of the successor s'_z = (x'_z, beta'_z)
+    of branch z, by the chain rule through dynamics, observation and Bayes
+    update.
 
     x'_z = f(x, u, z) is observed as o_z = h(x'_z, z), and
-    beta'_z = log floor(softmax(beta + L)), where L_w is the Gaussian
-    log-likelihood of (o_z, x'_z) under hypothesis w, as in `bayes_update`.
-    No callback gives the derivative of the observation covariance, so it is
-    differenced.
+    beta'_z = log floor(softmax(beta + L)), where L = `log_likelihoods` of
+    (o_z, x'_z), as in `bayes_update`. No callback gives the derivative of
+    the observation variances, so it is differenced.
     """
     n, nz, nu = model.state_dim, model.num_latents, model.control_dim
     ns = n + nz
@@ -276,34 +274,27 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, z: int):
     f_x, f_u = model.dynamics_jacobians(x, u, z)
     dx_next = np.hstack([f_x, f_u])  # d x'_z / d(x, u)
     o = np.atleast_1d(np.asarray(model.observation_mean(x_next, z), dtype=float))
-    k = o.size
     h_z = model.observation_jacobian(x_next, z)
-    noise = [model.observation_noise(x_next, w) for w in range(nz)]
-    d_noise = numerical_jacobian(
-        lambda xn: np.concatenate(
-            [cov_matrix(model.observation_noise(xn, w), k).ravel() for w in range(nz)]
-        ),
+    d_var = numerical_jacobian(
+        lambda xn: np.concatenate([model.observation_noise(xn, w) for w in range(nz)]),
         x_next,
-    ).reshape(nz, k, k, n)
+    ).reshape(nz, o.size, n)
 
-    loglik = np.empty(nz)
+    loglik = log_likelihoods(o, x_next, u, x, model)
     d_loglik = np.empty((nz, n + nu))  # d L_w / d(x, u)
     for w in range(nz):
-        mean = model.observation_mean(x_next, w)
-        loglik[w] = gaussian_log_density(o, mean, noise[w])
-        cov_inv = np.linalg.inv(cov_matrix(noise[w], k))
-        a = cov_inv @ (o - np.atleast_1d(mean))
+        inv_var = 1.0 / np.asarray(model.observation_noise(x_next, w), dtype=float)
+        a = inv_var * (o - model.observation_mean(x_next, w))
         d_next = (
             -a @ (h_z - model.observation_jacobian(x_next, w))
-            + 0.5 * np.einsum("i,ijc,j->c", a, d_noise[w], a)
-            - 0.5 * np.einsum("ij,jic->c", cov_inv, d_noise[w])
+            + 0.5 * np.einsum("i,ic,i->c", a, d_var[w], a)
+            - 0.5 * (inv_var @ d_var[w])
         )
         d_loglik[w] = d_next @ dx_next
-        dyn_cov = model.dynamics_noise_for(w)
-        if dyn_cov is not None:
+        dyn_var = model.dynamics_noise_for(w)
+        if dyn_var is not None:
             mean = np.asarray(model.dynamics_mean(x, u, w), dtype=float)
-            loglik[w] += gaussian_log_density(x_next, mean, dyn_cov)
-            a = np.linalg.solve(cov_matrix(dyn_cov, n), x_next - mean)
+            a = (x_next - mean) / dyn_var
             d_loglik[w] -= a @ (dx_next - np.hstack(model.dynamics_jacobians(x, u, w)))
 
     post = softmax(beta + loglik)
@@ -319,7 +310,7 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, z: int):
     jac[:n, :n] = f_x
     jac[:n, ns:] = f_u
     jac[n:] = active[:, None] * d_log_post - ((active * post) @ d_log_post) / total
-    return np.concatenate([x_next, logits(post)]), jac
+    return jac
 
 
 def _expected_q(cost, beta, jacs, value_models):
@@ -440,7 +431,7 @@ def linearize(model: ProblemModel, tree: TrajectoryTree) -> Linearization:
             terminal = terminal_value_model(model, *tree.terminal_state(h))
         else:
             branch_jacobians = [
-                _branch_jacobians(model, xs[-1], beta, us[-1], z)[1]
+                _branch_jacobians(model, xs[-1], beta, us[-1], z)
                 for z in range(tree.num_latents)
             ]
         nodes[h] = NodeLinearization(

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from poddp.belief import (
     BELIEF_FLOOR,
     Belief,
     DegenerateEvidenceError,
     bayes_update,
-    cov_matrix,
     floor_probs,
     gaussian_log_density,
     log_posterior_update,
@@ -221,20 +221,24 @@ def test_gaussian_log_density_scalar_oracle():
     assert abs(gaussian_log_density(np.zeros(1), np.zeros(1), np.ones(1)) - expected) < 1e-12
 
 
-@pytest.mark.parametrize("cov", [0.7, np.array([0.5, 2.0, 1.3])])
-def test_cov_matrix_is_the_same_density(cov):
+def test_gaussian_log_density_sums_independent_coordinates():
     v, m = np.array([0.3, -1.2, 0.8]), np.array([0.1, 0.4, -0.2])
-    full = cov_matrix(cov, 3)
-    assert full.shape == (3, 3)
-    assert abs(gaussian_log_density(v, m, full) - gaussian_log_density(v, m, cov)) < 1e-12
+    var = np.array([0.5, 2.0, 1.3])
+    expected = sum(norm.logpdf(v[i], m[i], np.sqrt(var[i])) for i in range(3))
+    assert abs(gaussian_log_density(v, m, var) - expected) < 1e-12
 
 
-def test_gaussian_log_density_full_covariance_matches_diagonal():
-    v, m = np.array([0.3, -0.2]), np.array([0.1, 0.4])
-    var = np.array([0.5, 2.0])
-    diag = gaussian_log_density(v, m, var)
-    full = gaussian_log_density(v, m, np.diag(var))
-    assert abs(diag - full) < 1e-12
+@pytest.mark.parametrize(
+    "var",
+    [np.ones(2), np.ones(4), np.float64(1.0), np.eye(3), np.array([1.0, 0.0, 2.0]),
+     np.array([1.0, -0.5, 2.0])],
+    ids=["short", "long", "scalar", "matrix", "zero", "negative"],
+)
+def test_gaussian_log_density_rejects_bad_variances(var):
+    # One positive variance per coordinate: a vector of another length, a
+    # scalar, a matrix or an entry <= 0 is an error, not broadcast or ignored.
+    with pytest.raises(ValueError):
+        gaussian_log_density(np.zeros(3), np.zeros(3), var)
 
 
 def test_belief_validation():

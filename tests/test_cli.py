@@ -33,7 +33,7 @@ def test_solve_unknown_experiment_lists_valid_names(tmp_path, capsys):
 
 def test_solve_single_segment_single_node(tmp_path):
     rc = main(
-        ["solve", "--experiment", "tmaze", "--segments", "1", "--out", str(tmp_path)]
+        ["solve", "--experiment", "tmaze", "--set", "segments=1", "--out", str(tmp_path)]
     )
     assert rc == 0
     payload = json.loads((tmp_path / "solve_tmaze_poddp.json").read_text())
@@ -105,11 +105,18 @@ def test_out_dir_environment_variable(tmp_path, monkeypatch):
 
 def test_sigma_level_override_changes_config_hash(tmp_path):
     rc = main(
-        ["solve", "--experiment", "tmaze", "--sigma-level", "1.1", "--out", str(tmp_path)]
+        ["solve", "--experiment", "tmaze", "--set", "sigma_level=1.1", "--out", str(tmp_path)]
     )
     assert rc == 0
     payload = json.loads((tmp_path / "solve_tmaze_poddp.json").read_text())
     assert payload["config"]["sigma_level"] == 1.1
+
+
+def test_zero_observation_variance_is_an_error(tmp_path, capsys):
+    args = ["solve", "--experiment", "tmaze", "--set", "sigma_level=0"]
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    assert "variances must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "solve_tmaze_poddp.json").exists()
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -185,7 +192,7 @@ def test_sweep_levels_match_plain_benchmarks(tmp_path, monkeypatch):
     assert [level["sigma_level"] for level in sweep["levels"]] == list(levels)
     for level in sweep["levels"]:
         out = tmp_path / f"plain_{level['sigma_level']}"
-        args = common + ["--sigma-level", str(level["sigma_level"]), "--out", str(out)]
+        args = common + ["--set", f"sigma_level={level['sigma_level']}", "--out", str(out)]
         assert main(args) == 0
         plain = json.loads((out / "tmaze_summary.json").read_text())
         assert level["summaries"] == plain["summaries"]

@@ -1,5 +1,7 @@
 """Closed-loop execution harness and batch statistics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats as sstats
@@ -207,6 +209,39 @@ def test_planners_with_coinciding_plans_give_identical_stats():
                   sc.control_low, sc.control_high)
     np.testing.assert_array_equal(a.costs, b.costs)
     assert a.mean == b.mean and a.stderr == b.stderr
+
+
+# SHA-256 of repr([(cumulative cost, final state as a list)]) of the episodes
+# of a 3-episode batch at seeds 4-6 (true latents 1, 0, 1) and BENCH_BUDGET,
+# per scenario and planner. A change to the process or observation sampler,
+# the Bayes update or any planner moves at least one of them.
+CLOSED_LOOP_BATCHES = {
+    ("lanechange", "poddp"): "d828494ec022dd87cd02ac3654c05bc1d5bd576ebc9ca6f815f7f516aa25a9e5",
+    ("lanechange", "mlddp"): "6778b8a8cd56f638a847fb33f29de0dfecd0345924f0811ec8c8675889e82cfc",
+    ("lanechange", "pwddp"): "25a7e79f9f69c80774f27e690ddf4208456c04feb6ea2f06aaa9701716569e87",
+    ("terrain", "poddp"): "49c4a520285b3378265d3905c9b79811cf0e9f326b299aeda8cb63cf6e7f4a3e",
+    ("terrain", "mlddp"): "7081cd7f5ccc3da3ab902ce7bff55fff1012176801803fdf9baf57166fbea5d3",
+    ("terrain", "pwddp"): "4f43e327c3a33236c9d78c6b51ba29ecf5172c6fc4cc8b0b829d492eb3078d4c",
+    ("tmaze", "poddp"): "a032d9bf6e041477e4b86f97d4d17935a0ca8baa61c283eef023c68abaa087ec",
+    ("tmaze", "mlddp"): "ab1b7e612db375af7815b625e9236c9d073cf10295516d0a9c0eda68fb913c1a",
+    ("tmaze", "pwddp"): "cda8cf478720121d9a39bf9b450f155d98c9c89c38788f0cccfb8f055fee1fbc",
+}
+
+
+@pytest.mark.parametrize("name, planner", sorted(CLOSED_LOOP_BATCHES))
+def test_closed_loop_batch_is_pinned(name, planner, request):
+    from poddp.cli import BENCH_BUDGET
+
+    sc = request.getfixturevalue(f"{name}_scenario")
+    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, **BENCH_BUDGET)
+    batch = run_batch(
+        PlannerKind(planner), sc.model, sc.initial_state, sc.prior, 3, 4, config,
+        sc.control_low, sc.control_high,
+    )
+    assert [tr.true_z for tr in batch.traces] == [1, 0, 1]
+    record = repr([(tr.cumulative_cost, tr.final_state.tolist()) for tr in batch.traces])
+    digest = hashlib.sha256(record.encode()).hexdigest()
+    assert digest == CLOSED_LOOP_BATCHES[(name, planner)]
 
 
 def test_prior_frequency_converges():

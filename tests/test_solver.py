@@ -115,6 +115,7 @@ def test_forward_pass_branch_beliefs_replay_bayes(tmaze_scenario):
         x_last = tree.xs[h][-1]
         u_last = tree.controls[h][-1]
         b_parent = Belief(tree.beliefs[h])
+        s_last = np.concatenate([x_last, tree.betas[h]])
         for z in range(tree.num_latents):
             x_next = np.asarray(model.dynamics_mean(x_last, u_last, z), float)
             o_next = model.observation_mean(x_next, z)
@@ -122,6 +123,11 @@ def test_forward_pass_branch_beliefs_replay_bayes(tmaze_scenario):
             np.testing.assert_allclose(
                 tree.beliefs[h + (z,)], b_child.probs, atol=1e-12
             )
+            # The successor whose Jacobian `_branch_jacobians` gives: the
+            # child's first state and its logits.
+            child = np.concatenate([tree.xs[h + (z,)][0], tree.betas[h + (z,)]])
+            expected = _branch_chain(model, z)(s_last, u_last)
+            np.testing.assert_allclose(child, expected, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +239,12 @@ def _step_cost(model, x, beta, u):
 
 
 def _branches(model, x, beta, u):
-    """`_branch_jacobians` of every latent: (successors, Jacobians)."""
-    succs, jacs = zip(
-        *(_branch_jacobians(model, x, beta, u, z) for z in range(model.num_latents))
-    )
-    return succs, list(jacs)
+    """The successors (by `_branch_chain`) and `_branch_jacobians` of every
+    latent."""
+    s_vec = np.concatenate([x, beta])
+    latents = range(model.num_latents)
+    succs = [_branch_chain(model, z)(s_vec, u) for z in latents]
+    return succs, [_branch_jacobians(model, x, beta, u, z) for z in latents]
 
 
 def _terminal_children(model, succs):
@@ -429,7 +436,7 @@ def _q_ingredients(model, s_vec, u, child_vms):
         else terminal_value_model(model, succ_bars[z][:n], succ_bars[z][n:])
         for z in range(nz)
     ]
-    jacs = [_branch_jacobians(model, x, beta, u, z)[1] for z in range(nz)]
+    jacs = [_branch_jacobians(model, x, beta, u, z) for z in range(nz)]
     _, q, _, _ = _expected_q(_step_cost(model, x, beta, u), beta, jacs, vms)
 
     def q_num(sv, uv):
@@ -488,11 +495,11 @@ def test_q_derivatives_match_finite_differences(name, request):
 
 
 def _evidence_model(noise_scale):
-    """Four latents with everything the branch chain rule must carry: a
-    state-dependent full observation covariance, observation means with a
-    non-zero Jacobian, and dynamics noise that differs by latent (per
-    dimension, full, scalar and none, so the transition evidence and its
-    normalization constant enter the posterior of only three). Small
+    """Four latents with everything the branch chain rule must carry:
+    state-dependent observation variances that differ by latent, observation
+    means with a non-zero Jacobian, and dynamics noise that differs by latent
+    and is ``None`` for the last, so the transition evidence and its
+    normalization constant enter the posterior of only three. Small
     `noise_scale` makes the evidence decisive, so the posterior of the other
     latents sits at the floor."""
     centers = (-0.5, 0.2, 0.9, 1.6)
@@ -515,9 +522,11 @@ def _evidence_model(noise_scale):
         return np.array([[math.cos(x[0]), 0.0], [g * x[1], g * x[0]]])
 
     def observation_noise(x, z):
-        off = 0.2 * math.tanh(x[1])
         return noise_scale * np.array(
-            [[0.5 + 0.1 * x[0] ** 2 + 0.05 * z, off], [off, 0.4 + 0.1 * x[1] ** 2]]
+            [
+                0.5 + 0.1 * x[0] ** 2 + 0.05 * z,
+                0.4 + 0.1 * x[1] ** 2 + 0.1 * math.tanh(x[0] * x[1]),
+            ]
         )
 
     return ProblemModel(
@@ -537,8 +546,8 @@ def _evidence_model(noise_scale):
         final_cost_derivatives=lambda x, z: (2.0 * x, 2.0 * np.eye(2)),
         dynamics_noise=[
             noise_scale * np.array([0.02, 0.03]),
-            noise_scale * np.array([[0.03, 0.01], [0.01, 0.02]]),
-            noise_scale * 0.025,
+            noise_scale * np.array([0.03, 0.02]),
+            noise_scale * np.array([0.025, 0.025]),
             None,
         ],
     )
@@ -556,10 +565,8 @@ def _evidence_points(model, seed, count=8):
 def _check_branch_jacobians(model, x, beta, u):
     s_vec = np.concatenate([x, beta])
     for z in range(model.num_latents):
-        succ, jac = _branch_jacobians(model, x, beta, u, z)
+        jac = _branch_jacobians(model, x, beta, u, z)
         chain = _branch_chain(model, z)
-        expected = chain(s_vec, u)
-        np.testing.assert_allclose(succ, expected, rtol=1e-12, atol=1e-12)
         fd = np.hstack(
             [
                 numerical_jacobian(lambda sv: chain(sv, u), s_vec),
@@ -584,7 +591,7 @@ def test_branch_jacobians_full_covariance_and_floor(noise_scale):
     for x, beta, u in _evidence_points(model, seed=25):
         _check_branch_jacobians(model, x, beta, u)
         for z in range(model.num_latents):
-            post = np.exp(_branch_jacobians(model, x, beta, u, z)[0][2:])
+            post = np.exp(_branch_chain(model, z)(np.concatenate([x, beta]), u)[2:])
             floored += int(np.isclose(post.min(), BELIEF_FLOOR, rtol=1e-6))
     # The decisive case checks the clamped rows; the other the unclamped ones.
     assert (floored > 0) == (noise_scale < 1.0)
