@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .belief import Belief, logits
-from .model import ProblemModel, condition_on_latent
+from .model import ProblemModel, condition_on_latent, uninformative_observations
 from .solver import SolveResult, SolverConfig, solve
 
 ROOT = ()
@@ -31,78 +30,32 @@ class PlannerKind(enum.Enum):
 class ExecutablePlan:
     """A solved plan plus the rule for turning it into executed controls.
 
-    `control(t, x, b)` evaluates the planned control at in-segment step t
-    with feedback on the realized state x and belief b; t counts from the
-    start of this plan.
+    `control(t, x, b)` is the root node's control at in-segment step t plus
+    the feedback K_t[:, :d.size] @ d, where d is the deviation of the
+    realized state, copied `copies` times, from the plan's nominal state,
+    followed for PODDP by the deviation of the belief's logits. t counts
+    from the start of this plan; without gains there is no feedback.
     """
 
     kind: PlannerKind
     result: SolveResult
-    _control_fn: Callable[[int, np.ndarray, Belief], np.ndarray]
+    copies: int  # state copies in the solved model: num_latents for PWDDP, else 1
 
     @property
     def converged(self) -> bool:
         return self.result.converged
 
     def control(self, t: int, x: np.ndarray, b: Belief) -> np.ndarray:
-        return self._control_fn(t, x, b)
-
-
-def _chain_config(config: SolverConfig) -> SolverConfig:
-    """The same solver settings with a single-segment schedule."""
-    return replace(config, segments=1)
-
-
-def _executable(
-    kind: PlannerKind, result: SolveResult, width: int, deviation
-) -> ExecutablePlan:
-    """The plan of a solve: the root node's controls, plus feedback
-    K_t[:, :width] @ deviation(t, x, b) when the solve returned gains."""
-    tree = result.tree
-    controls = tree.controls[ROOT]
-    feedback = tree.gains[ROOT][1] if ROOT in tree.gains else None
-
-    def control_fn(t: int, x: np.ndarray, b: Belief) -> np.ndarray:
-        if feedback is None:
-            return controls[t]
-        return controls[t] + feedback[t][:, :width] @ deviation(t, x, b)
-
-    return ExecutablePlan(kind=kind, result=result, _control_fn=control_fn)
-
-
-def poddp_plan(
-    model: ProblemModel, x0, b0: Belief, config: SolverConfig, u_init=None
-) -> ExecutablePlan:
-    result = solve(model, x0, b0, config, u_init=u_init)
-    tree = result.tree
-    x_nom, beta_nom = tree.xs[ROOT], tree.betas[ROOT]
-
-    def deviation(t, x, b):
-        return np.concatenate([x - x_nom[t], logits(b.probs) - beta_nom])
-
-    width = model.state_dim + model.num_latents
-    return _executable(PlannerKind.PODDP, result, width, deviation)
-
-
-def mlddp_plan(
-    model: ProblemModel, x0, b0: Belief, config: SolverConfig, u_init=None
-) -> ExecutablePlan:
-    z_star = b0.argmax()  # ties break toward the lowest index
-    conditioned = condition_on_latent(model, z_star)
-    result = solve(
-        conditioned, x0, Belief(np.ones(1)), _chain_config(config), u_init=u_init
-    )
-    x_nom = result.tree.xs[ROOT]
-    # the conditioned belief coordinate never deviates
-    return _executable(
-        PlannerKind.MLDDP, result, model.state_dim, lambda t, x, b: x - x_nom[t]
-    )
-
-
-def _unobserved(xs, z):
-    """The observation callbacks of a stacked model: it is solved as a
-    one-segment chain, which never branches, so nothing observes it."""
-    raise NotImplementedError("a stacked model is never observed")
+        tree = self.result.tree
+        u = tree.controls[ROOT][t]
+        if ROOT not in tree.gains:
+            return u
+        x_nom = tree.xs[ROOT][t]
+        # np.tile copies even one copy; this runs at every executed step
+        d = x - x_nom if self.copies == 1 else np.tile(x, self.copies) - x_nom
+        if self.kind is PlannerKind.PODDP:
+            d = np.concatenate([d, logits(b.probs) - tree.betas[ROOT]])
+        return u + tree.gains[ROOT][1][t][:, : d.size] @ d
 
 
 def stacked_model(model: ProblemModel, b: Belief) -> ProblemModel:
@@ -170,37 +123,14 @@ def stacked_model(model: ProblemModel, b: Belief) -> ProblemModel:
         control_dim=model.control_dim,
         num_latents=1,
         dynamics_mean=dynamics_mean,
-        observation_mean=_unobserved,
-        observation_noise=_unobserved,
         running_cost=running_cost,
         final_cost=final_cost,
         dynamics_jacobians=dynamics_jacobians,
-        observation_jacobian=_unobserved,
+        # a one-segment chain never branches, so nothing observes it
+        **uninformative_observations(n * nz),
         running_cost_derivatives=running_cost_derivatives,
         final_cost_derivatives=final_cost_derivatives,
     )
-
-
-def pwddp_plan(
-    model: ProblemModel, x0, b0: Belief, config: SolverConfig, u_init=None
-) -> ExecutablePlan:
-    n = model.state_dim
-    nz = model.num_latents
-    stacked = stacked_model(model, b0)
-    xs0 = np.tile(np.asarray(x0, dtype=float), nz)
-    result = solve(stacked, xs0, Belief(np.ones(1)), _chain_config(config), u_init=u_init)
-    x_nom = result.tree.xs[ROOT]
-    # every hypothesis copy sees the same realized state
-    return _executable(
-        PlannerKind.PWDDP, result, n * nz, lambda t, x, b: np.tile(x, nz) - x_nom[t]
-    )
-
-
-_PLANNERS = {
-    PlannerKind.PODDP: poddp_plan,
-    PlannerKind.MLDDP: mlddp_plan,
-    PlannerKind.PWDDP: pwddp_plan,
-}
 
 
 def plan(
@@ -211,4 +141,16 @@ def plan(
     config: SolverConfig,
     u_init=None,
 ) -> ExecutablePlan:
-    return _PLANNERS[kind](model, x0, b0, config, u_init=u_init)
+    """`kind`'s plan from (x0, b0). PODDP solves the contingency tree; the
+    baselines solve a one-segment chain, MLDDP on the most likely latent
+    value and PWDDP on the stacked model from x0 copied per latent value."""
+    copies = 1
+    if kind is PlannerKind.MLDDP:
+        model = condition_on_latent(model, b0.argmax())  # ties: lowest index
+    elif kind is PlannerKind.PWDDP:
+        copies = model.num_latents
+        model = stacked_model(model, b0)
+        x0 = np.tile(np.asarray(x0, dtype=float), copies)
+    if kind is not PlannerKind.PODDP:
+        b0, config = Belief(np.ones(1)), replace(config, segments=1)
+    return ExecutablePlan(kind, solve(model, x0, b0, config, u_init=u_init), copies)

@@ -14,13 +14,7 @@ import sys
 from pathlib import Path
 
 from .baselines import PlannerKind, plan
-from .harness import (
-    run_batch,
-    summary_rows,
-    welch_t,
-    write_episodes_csv,
-    write_summary_json,
-)
+from .harness import run_batch, summary_rows, welch_t, write_episodes_csv
 from .scenarios import EXPERIMENTS, build_scenario
 from .scenarios.config import (
     ConfigError,
@@ -88,6 +82,10 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _solver_config(scenario, budget) -> SolverConfig:
     return SolverConfig(
         horizon=scenario.horizon, segments=scenario.segments, **budget
@@ -113,7 +111,7 @@ def cmd_solve(args) -> int:
         "tree": tree_to_dict(result.result.tree),
     }
     out = _out_dir(args) / f"solve_{args.experiment}_{kind.value}.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out, payload)
     status = "converged" if result.converged else "did not converge"
     print(
         f"{args.experiment}/{kind.value}: {status} "
@@ -192,7 +190,7 @@ def cmd_benchmark(args) -> int:
             "levels": levels,
         }
         out = out_dir / f"{args.experiment}_sweep_summary.json"
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(out, payload)
         print(f"{len(SIGMA_LEVELS)}-level sweep complete -> {out}")
         return 0
 
@@ -200,14 +198,14 @@ def cmd_benchmark(args) -> int:
     stats, comparisons = _run_benchmark(scenario, planners, args.n, args.seed)
     traces = [tr for s in stats for tr in s.traces]
     write_episodes_csv(traces, out_dir / f"{args.experiment}_episodes.csv")
-    write_summary_json(
-        stats,
-        config_hash(cfg),
+    _write_json(
         out_dir / f"{args.experiment}_summary.json",
-        extra={
+        {
             "experiment": args.experiment,
+            "config_hash": config_hash(cfg),
             "config": cfg,
             "base_seed": args.seed,
+            "summaries": summary_rows(stats),
             "comparisons": comparisons,
         },
     )

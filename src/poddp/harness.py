@@ -11,9 +11,8 @@ the true latent value.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -30,8 +29,6 @@ class StepRecord:
     x: np.ndarray
     u: np.ndarray
     cost: float
-    observation: Optional[np.ndarray]  # sampled at segment ends only
-    belief: np.ndarray  # belief in effect after this step's update (if any)
 
 
 @dataclass
@@ -45,7 +42,6 @@ class EpisodeTrace:
     cumulative_cost: float
     replans: int
     converged: bool  # every planning solve converged
-    final_belief: np.ndarray = field(default_factory=lambda: np.array([]))
 
 
 @dataclass
@@ -77,14 +73,14 @@ def _sample(mean, var, rng) -> np.ndarray:
     return mean + rng.standard_normal(np.shape(mean)) * np.sqrt(var)
 
 
-def _warm_start(planner: PlannerKind, current: ExecutablePlan, seg_len: int, b: Belief):
+def _warm_start(current: ExecutablePlan, seg_len: int, b: Belief):
     """Initial controls for the next replan, taken from the unexecuted tail.
 
     For PODDP the subtree under the most likely child becomes the new tree;
     the chain planners just drop the executed prefix.
     """
     tree = current.result.tree
-    if planner is PlannerKind.PODDP:
+    if current.kind is PlannerKind.PODDP:
         z = b.argmax()
         return {
             h[1:]: tree.controls[h].copy()
@@ -157,7 +153,7 @@ def execute_episode(
             x = _sample(
                 model.dynamics_mean(x, u, true_z), model.dynamics_noise_for(true_z), proc_rng
             )
-            steps.append(StepRecord(x_prev, u, step_cost, None, b.probs.copy()))
+            steps.append(StepRecord(x_prev, u, step_cost))
         if remaining_segments:
             o = _sample(
                 model.observation_mean(x, true_z), model.observation_noise(x, true_z), obs_rng
@@ -166,10 +162,8 @@ def execute_episode(
                 b = bayes_update(o, x, u_prev, x_prev, b, model)
             except DegenerateEvidenceError:
                 pass  # keep the prior belief when no hypothesis explains the data
-            steps[-1].observation = np.atleast_1d(o)
-            steps[-1].belief = b.probs.copy()
             replans += 1
-            warm = _warm_start(planner, current, seg_len, b)
+            warm = _warm_start(current, seg_len, b)
 
     final_cost = float(model.final_cost(x, true_z))
     cumulative += final_cost
@@ -183,7 +177,6 @@ def execute_episode(
         cumulative_cost=cumulative,
         replans=replans,
         converged=converged,
-        final_belief=b.probs.copy(),
     )
 
 
@@ -292,12 +285,3 @@ def summary_rows(stats: Sequence[BatchStats]) -> List[dict]:
         }
         for s in stats
     ]
-
-
-def write_summary_json(stats: Sequence[BatchStats], config_hash: str, path, extra=None):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"config_hash": config_hash, "summaries": summary_rows(stats)}
-    if extra:
-        payload.update(extra)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -88,6 +88,17 @@ class ProblemModel:
         return self.dynamics_noise[z]
 
 
+def uninformative_observations(state_dim: int) -> dict:
+    """The observation callbacks of a problem with no observation channel,
+    keyed by their `ProblemModel` fields: the observation is 0 with variance
+    1 under every latent value, so it carries no evidence."""
+    return {
+        "observation_mean": lambda x, z: np.zeros(1),
+        "observation_noise": lambda x, z: np.ones(1),
+        "observation_jacobian": lambda x, z: np.zeros((1, state_dim)),
+    }
+
+
 def condition_on_latent(model: ProblemModel, z: int) -> ProblemModel:
     """Restrict a model to a single latent value (|Z| = 1).
 

@@ -19,6 +19,7 @@ from typing import ClassVar, Dict, Union
 
 import numpy as np
 
+from ..model import read_only
 from .vehicle import BicycleParams
 
 Value = Union[int, float, str]
@@ -57,6 +58,10 @@ class ScenarioConfig:
     start_y: float
     start_heading: float
     start_speed: float
+    speed_weight: float
+    desired_speed: float  # cruise speed of the planner's vehicle
+    steer_weight: float
+    accel_weight: float
 
     @classmethod
     def from_dict(cls, values: Dict[str, Value]):
@@ -87,6 +92,19 @@ class ScenarioConfig:
 
     def initial_state(self) -> np.ndarray:
         return np.array([self.start_x, self.start_y, self.start_heading, self.start_speed])
+
+    def process_variances(self) -> np.ndarray:
+        """The squares of the `process_std_*` keys, in declaration order: the
+        per-coordinate process noise variances."""
+        stds = [getattr(self, f.name) for f in fields(self) if f.name.startswith("process_std_")]
+        return np.array(stds) ** 2
+
+    def effort_hessians(self, state_dim: int):
+        """(l_xu, l_uu) of the effort cost steer_weight * steer**2 +
+        accel_weight * accel**2, the only control term of every scenario."""
+        l_xu = read_only(np.zeros((state_dim, 2)))
+        l_uu = read_only(np.diag([2.0 * self.steer_weight, 2.0 * self.accel_weight]))
+        return l_xu, l_uu
 
 
 def _parse_value(raw: str) -> Value:

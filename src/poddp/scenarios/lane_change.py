@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..model import ProblemModel, read_only
+from ..model import ProblemModel, read_only, uninformative_observations
 from .config import ScenarioConfig
 from .idm import IDMParams, idm_accel, idm_accel_with_partials
 from .vehicle import (
@@ -54,16 +54,12 @@ class LaneChangeConfig(ScenarioConfig):
     idm_gap_floor: float
     nice_desired_speed: float
     aggressive_desired_speed: float
-    desired_speed: float  # ego cruise speed
     lane_end: float  # longitude where the starting lane runs out
     lane_end_gain: float  # escalation of the lane cost past lane_end
     lane_end_width: float  # longitudinal scale of the escalation
     lane_weight_running: float
     lane_weight_final: float
     heading_weight: float
-    speed_weight: float
-    steer_weight: float
-    accel_weight: float
     collision_weight: float
     collision_lon_scale: float
     collision_lat_scale: float
@@ -141,15 +137,6 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
         f_x[V_O, V_O] += active
         return f_x, f_u
 
-    def observation_mean(x, z):
-        return np.zeros(1)
-
-    def observation_noise(x, z):
-        return np.ones(1)
-
-    def observation_jacobian(x, z):
-        return np.zeros((1, STATE_DIM))
-
     ax = 1.0 / cfg.collision_lon_scale ** 2
     ay = 1.0 / cfg.collision_lat_scale ** 2
 
@@ -207,8 +194,7 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
             + c
         )
 
-    l_xu = read_only(np.zeros((STATE_DIM, 2)))
-    l_uu = read_only(np.diag([2.0 * cfg.steer_weight, 2.0 * cfg.accel_weight]))
+    l_xu, l_uu = cfg.effort_hessians(STATE_DIM)
 
     def running_cost_derivatives(x, u, z):
         px, py, th, v, lon_o, _ = x.tolist()
@@ -247,28 +233,16 @@ def build(cfg: LaneChangeConfig) -> ProblemModel:
         lf_xx[TH, TH] += 2.0 * cfg.heading_weight
         return lf_x, lf_xx
 
-    process_std = np.array(
-        [
-            cfg.process_std_x,
-            cfg.process_std_y,
-            cfg.process_std_heading,
-            cfg.process_std_speed,
-            cfg.process_std_other_lon,
-            cfg.process_std_other_speed,
-        ]
-    )
-    var = process_std ** 2
+    var = cfg.process_variances()
     return ProblemModel(
         state_dim=STATE_DIM,
         control_dim=2,
         num_latents=2,
         dynamics_mean=dynamics_mean,
-        observation_mean=observation_mean,
-        observation_noise=observation_noise,
         running_cost=running_cost,
         final_cost=final_cost,
         dynamics_jacobians=dynamics_jacobians,
-        observation_jacobian=observation_jacobian,
+        **uninformative_observations(STATE_DIM),
         running_cost_derivatives=running_cost_derivatives,
         final_cost_derivatives=final_cost_derivatives,
         dynamics_noise=[var, var],

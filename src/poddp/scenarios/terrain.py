@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..model import ProblemModel, read_only
+from ..model import ProblemModel, read_only, uninformative_observations
 from .config import ScenarioConfig
 from .vehicle import (
     ACCEL,
@@ -45,10 +45,6 @@ class TerrainConfig(ScenarioConfig):
     process_std_speed: float
     goal_weight_running: float
     goal_weight_final: float
-    speed_weight: float
-    desired_speed: float
-    steer_weight: float
-    accel_weight: float
     prior_smooth: float
 
 
@@ -92,15 +88,6 @@ def build(cfg: TerrainConfig) -> ProblemModel:
         f_x[V, V] += -active * dt * rho * (1.0 - th * th)
         return f_x, f_u
 
-    def observation_mean(x, z):
-        return np.zeros(1)
-
-    def observation_noise(x, z):
-        return np.ones(1)
-
-    def observation_jacobian(x, z):
-        return np.zeros((1, 4))
-
     def running_cost(x, u, z):
         v = x.tolist()[V]
         steer, accel = u.tolist()
@@ -117,8 +104,7 @@ def build(cfg: TerrainConfig) -> ProblemModel:
     l_xx[:2, :2] = goal_curvature * np.eye(2)
     l_xx[V, V] = 2.0 * cfg.speed_weight
     l_xx = read_only(l_xx)
-    l_xu = read_only(np.zeros((4, 2)))
-    l_uu = read_only(np.diag([2.0 * cfg.steer_weight, 2.0 * cfg.accel_weight]))
+    l_xu, l_uu = cfg.effort_hessians(4)
 
     def running_cost_derivatives(x, u, z):
         px, py, _, v = x.tolist()
@@ -147,21 +133,16 @@ def build(cfg: TerrainConfig) -> ProblemModel:
         slope = 2.0 * cfg.goal_weight_final
         return np.array([slope * (px - cfg.goal_x), slope * (py - cfg.goal_y), 0.0, 0.0]), lf_xx
 
-    process_std = np.array(
-        [cfg.process_std_x, cfg.process_std_y, cfg.process_std_heading, cfg.process_std_speed]
-    )
-    var = process_std ** 2
+    var = cfg.process_variances()
     return ProblemModel(
         state_dim=4,
         control_dim=2,
         num_latents=2,
         dynamics_mean=dynamics_mean,
-        observation_mean=observation_mean,
-        observation_noise=observation_noise,
         running_cost=running_cost,
         final_cost=final_cost,
         dynamics_jacobians=dynamics_jacobians,
-        observation_jacobian=observation_jacobian,
+        **uninformative_observations(4),
         running_cost_derivatives=running_cost_derivatives,
         final_cost_derivatives=final_cost_derivatives,
         dynamics_noise=[var, var],

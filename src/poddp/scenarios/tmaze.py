@@ -43,10 +43,6 @@ class TMazeConfig(ScenarioConfig):
     gate_width: float  # y-extent of the wall fade
     goal_weight_running: float
     goal_weight_final: float
-    speed_weight: float
-    desired_speed: float
-    steer_weight: float
-    accel_weight: float
     sigma_level: float  # observation uncertainty level
     obs_decay_rate: float
     obs_decay_mid: float
@@ -153,8 +149,7 @@ def build(cfg: TMazeConfig) -> ProblemModel:
     l_xx_quadratic[:2, :2] = goal_curvature * np.eye(2)
     l_xx_quadratic[V, V] = 2.0 * cfg.speed_weight
     l_xx_quadratic = read_only(l_xx_quadratic)
-    l_xu = read_only(np.zeros((4, 2)))
-    l_uu = read_only(np.diag([2.0 * cfg.steer_weight, 2.0 * cfg.accel_weight]))
+    l_xu, l_uu = cfg.effort_hessians(4)
 
     def running_cost_derivatives(x, u, z):
         px, py, _, v = x.tolist()

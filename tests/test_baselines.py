@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import poddp.solver
-from poddp.baselines import PlannerKind, plan, pwddp_plan, mlddp_plan, stacked_model
-from poddp.belief import Belief
+from poddp.baselines import PlannerKind, plan, stacked_model
+from poddp.belief import Belief, logits
 from poddp.model import condition_on_latent
 from poddp.solver import BackwardFailureError, SolverConfig, solve
 
@@ -22,7 +22,9 @@ def _tmaze_config(sc, **kw):
 def test_mlddp_plans_against_argmax(tmaze_scenario):
     sc = tmaze_scenario
     config = _tmaze_config(sc, max_iterations=15)
-    p = mlddp_plan(sc.model, sc.initial_state, Belief(np.array([0.51, 0.49])), config)
+    p = plan(
+        PlannerKind.MLDDP, sc.model, sc.initial_state, Belief(np.array([0.51, 0.49])), config
+    )
     chain = solve(
         condition_on_latent(sc.model, 0),
         sc.initial_state,
@@ -35,8 +37,12 @@ def test_mlddp_plans_against_argmax(tmaze_scenario):
 def test_mlddp_tie_breaks_to_lowest_index(tmaze_scenario):
     sc = tmaze_scenario
     config = _tmaze_config(sc, max_iterations=10)
-    tied = mlddp_plan(sc.model, sc.initial_state, Belief(np.array([0.5, 0.5])), config)
-    left = mlddp_plan(sc.model, sc.initial_state, Belief(np.array([0.51, 0.49])), config)
+    tied = plan(
+        PlannerKind.MLDDP, sc.model, sc.initial_state, Belief(np.array([0.5, 0.5])), config
+    )
+    left = plan(
+        PlannerKind.MLDDP, sc.model, sc.initial_state, Belief(np.array([0.51, 0.49])), config
+    )
     np.testing.assert_array_equal(
         tied.result.tree.controls[()], left.result.tree.controls[()]
     )
@@ -45,15 +51,21 @@ def test_mlddp_tie_breaks_to_lowest_index(tmaze_scenario):
 def test_mlddp_invariant_to_belief_within_argmax(tmaze_scenario):
     sc = tmaze_scenario
     config = _tmaze_config(sc, max_iterations=10)
-    a = mlddp_plan(sc.model, sc.initial_state, Belief(np.array([0.6, 0.4])), config)
-    b = mlddp_plan(sc.model, sc.initial_state, Belief(np.array([0.95, 0.05])), config)
+    a = plan(
+        PlannerKind.MLDDP, sc.model, sc.initial_state, Belief(np.array([0.6, 0.4])), config
+    )
+    b = plan(
+        PlannerKind.MLDDP, sc.model, sc.initial_state, Belief(np.array([0.95, 0.05])), config
+    )
     np.testing.assert_array_equal(a.result.tree.controls[()], b.result.tree.controls[()])
 
 
 def test_mlddp_right_prior_terminates_in_right_arm(tmaze_scenario):
     sc = tmaze_scenario
     config = _tmaze_config(sc)
-    p = mlddp_plan(sc.model, sc.initial_state, Belief(np.array([0.49, 0.51])), config)
+    p = plan(
+        PlannerKind.MLDDP, sc.model, sc.initial_state, Belief(np.array([0.49, 0.51])), config
+    )
     terminal = p.result.tree.xs[()][-1]
     goal_x = float(sc.config["goal_lateral"])
     assert terminal[0] > 0.5 * goal_x  # right arm
@@ -63,7 +75,7 @@ def test_pwddp_single_latent_equals_plain_chain():
     model = make_latent_linear_model(1)
     config = SolverConfig(horizon=6, segments=1, max_iterations=50, cost_tolerance=1e-12)
     x0 = np.array([1.0, -0.4])
-    pw = pwddp_plan(model, x0, Belief(np.ones(1)), config)
+    pw = plan(PlannerKind.PWDDP, model, x0, Belief(np.ones(1)), config)
     chain = solve(model, x0, Belief(np.ones(1)), config)
     np.testing.assert_allclose(pw.result.tree.controls[()], chain.tree.controls[()], atol=1e-8)
 
@@ -72,8 +84,8 @@ def test_pwddp_degenerate_belief_equals_mlddp():
     model = make_latent_linear_model(2)
     config = SolverConfig(horizon=6, segments=1, max_iterations=60, cost_tolerance=1e-13)
     x0 = np.array([1.0, -0.4])
-    pw = pwddp_plan(model, x0, Belief(np.array([1.0, 0.0])), config)
-    ml = mlddp_plan(model, x0, Belief(np.array([1.0, 0.0])), config)
+    pw = plan(PlannerKind.PWDDP, model, x0, Belief(np.array([1.0, 0.0])), config)
+    ml = plan(PlannerKind.MLDDP, model, x0, Belief(np.array([1.0, 0.0])), config)
     np.testing.assert_allclose(
         pw.result.tree.controls[()], ml.result.tree.controls[()], atol=1e-8
     )
@@ -82,7 +94,9 @@ def test_pwddp_degenerate_belief_equals_mlddp():
 def test_pwddp_symmetric_tmaze_goes_straight(tmaze_scenario):
     sc = tmaze_scenario
     config = _tmaze_config(sc)
-    p = pwddp_plan(sc.model, sc.initial_state, Belief(np.array([0.5, 0.5])), config)
+    p = plan(
+        PlannerKind.PWDDP, sc.model, sc.initial_state, Belief(np.array([0.5, 0.5])), config
+    )
     terminal = p.result.tree.xs[()][-1]
     assert abs(terminal[0]) < 0.5  # stays near the corridor centerline
 
@@ -126,6 +140,32 @@ def test_plan_dispatch_returns_executable(tmaze_scenario):
         u = p.control(0, sc.initial_state, sc.prior)
         assert u.shape == (2,)
         assert np.isfinite(u).all()
+
+
+@pytest.mark.parametrize("kind", list(PlannerKind))
+def test_plan_control_is_the_feedback_law(kind, tmaze_scenario):
+    # control(t, x, b) = u_t + K_t @ d: d is x minus the nominal state (x
+    # copied per latent value for PWDDP), with the logit deviation of b
+    # appended for PODDP; the baselines' controls ignore b.
+    sc = tmaze_scenario
+    config = _tmaze_config(sc, max_iterations=5)
+    p = plan(kind, sc.model, sc.initial_state, sc.prior, config)
+    tree = p.result.tree
+    _, K = tree.gains[()]
+    copies = sc.model.num_latents if kind is PlannerKind.PWDDP else 1
+    rng = np.random.default_rng(5)
+    b = Belief(np.array([0.3, 0.7]))
+    for t in range(config.segment_lengths()[0]):  # the steps run before a replan
+        x = tree.xs[()][t][:4] + 0.1 * rng.standard_normal(4)
+        d = np.concatenate([x] * copies) - tree.xs[()][t]
+        if kind is PlannerKind.PODDP:
+            d = np.concatenate([d, logits(b.probs) - tree.betas[()]])
+        expected = tree.controls[()][t] + K[t][:, : d.size] @ d
+        u = p.control(t, x, b)
+        np.testing.assert_allclose(u, expected, rtol=0, atol=1e-12)
+        assert not np.allclose(u, tree.controls[()][t])  # the feedback acts
+        if kind is not PlannerKind.PODDP:
+            np.testing.assert_array_equal(p.control(t, x, sc.prior), u)
 
 
 @pytest.mark.parametrize("kind", list(PlannerKind))

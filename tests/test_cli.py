@@ -1,5 +1,6 @@
 """Command-line interface: solve and benchmark subcommands."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import poddp
 from poddp.cli import main
+from poddp.scenarios.config import config_hash
 
 
 def test_solve_tmaze_default_seven_node_tree(tmp_path, capsys):
@@ -59,6 +61,27 @@ def test_benchmark_rerun_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+# SHA-256 of the CLI's output files for a fixed run. Criterion 10 compares
+# two runs of the same code; these pins catch an output change between
+# revisions of the program.
+CLI_OUTPUTS = {
+    ("benchmark", "--experiment", "tmaze", "--n", "2", "--seed", "4"): {
+        "tmaze_episodes.csv": "2b7a9d6cf27863ef10b6dd36c10488d477e662dd6e1d8018a2038461ac6f8876",
+        "tmaze_summary.json": "30fbca2c203eec08e588dc7cb02c711e838d18db9dffb4746402272e85551646",
+    },
+    ("solve", "--experiment", "terrain", "--planner", "mlddp"): {
+        "solve_terrain_mlddp.json": "e5ed3cbede4b2b984dfabdffab082bd1914a7ea4482328570c70d4dcce4a8211",
+    },
+}
+
+
+@pytest.mark.parametrize("args", sorted(CLI_OUTPUTS), ids=lambda a: a[0] + "_" + a[2])
+def test_cli_output_bytes_are_pinned(args, tmp_path):
+    assert main(list(args) + ["--out", str(tmp_path)]) == 0
+    for name, digest in CLI_OUTPUTS[args].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_benchmark_summary_contents(tmp_path):
     rc = main(
         [
@@ -70,8 +93,10 @@ def test_benchmark_summary_contents(tmp_path):
     payload = json.loads((tmp_path / "tmaze_summary.json").read_text())
     assert {s["planner"] for s in payload["summaries"]} == {"poddp", "mlddp"}
     assert payload["comparisons"]  # pairwise tests present at n >= 2
-    assert payload["config_hash"]
+    assert payload["config_hash"] == config_hash(payload["config"])
     assert payload["base_seed"] == 0
+    row = payload["summaries"][0]
+    assert set(row) == {"planner", "n", "mean", "stderr", "stderr_flag"}
 
 
 def test_benchmark_single_episode_stderr_flag(tmp_path):

@@ -1,6 +1,7 @@
 """Closed-loop execution harness and batch statistics."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from poddp.harness import (
     episode_streams,
     execute_episode,
     run_batch,
+    summary_rows,
     welch_t,
     write_episodes_csv,
-    write_summary_json,
 )
 from poddp.model import condition_on_latent
 from poddp.scenarios import build_scenario
@@ -101,6 +102,7 @@ def test_replans_split_the_rest_of_the_first_schedule(monkeypatch):
         schedules.append(config.segment_lengths())
         tree = SimpleNamespace(controls={(): np.zeros((config.horizon, 1))})
         return SimpleNamespace(
+            kind=kind,
             result=SimpleNamespace(tree=tree),
             converged=True,
             control=lambda t, x, b: np.zeros(1),
@@ -318,18 +320,15 @@ def test_episode_csv_layout_and_determinism(tmp_path):
     assert float(row[3]) == batch.traces[0].cumulative_cost
 
 
-def test_summary_json_layout(tmp_path):
+def test_summary_json_layout():
     sc = build_scenario("terrain")
     config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=5)
     batch = run_batch(PlannerKind.MLDDP, sc.model, sc.initial_state, sc.prior, 2, 0,
                       config, sc.control_low, sc.control_high)
-    path = tmp_path / "summary.json"
-    write_summary_json([batch], "deadbeef", path, extra={"note": 1})
-    import json
-
-    payload = json.loads(path.read_text())
-    assert payload["config_hash"] == "deadbeef"
-    assert payload["note"] == 1
-    row = payload["summaries"][0]
+    (row,) = json.loads(json.dumps(summary_rows([batch])))
     assert set(row) == {"planner", "n", "mean", "stderr", "stderr_flag"}
-
+    assert row["planner"] == "mlddp"
+    assert row["n"] == 2
+    assert row["mean"] == batch.mean
+    assert row["stderr"] == batch.stderr
+    assert row["stderr_flag"] == batch.stderr_flag

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from poddp.belief import Belief
+from poddp.belief import Belief, gaussian_log_density, log_likelihoods
 from poddp.scenarios import build_scenario
 from poddp.scenarios import lane_change, terrain, tmaze
 from poddp.scenarios.config import ConfigError, apply_overrides, config_hash, default_config, parse_config
@@ -325,6 +325,29 @@ def test_idm_monotone_in_closing_speed():
 # Lane change
 
 
+@pytest.mark.parametrize("name", ["terrain", "lanechange"])
+def test_unobserved_scenarios_take_evidence_from_transitions_alone(name):
+    # Their observation channel is uninformative: what `log_likelihoods`
+    # adds to the transition log density is the same under every latent.
+    sc = build_scenario(name)
+    model = sc.model
+    rng = np.random.default_rng(6)
+    x = sc.initial_state + 0.1 * rng.standard_normal(model.state_dim)
+    u = np.array([0.1, -0.2])
+    x_next = model.dynamics_mean(x, u, 0) + 0.01 * rng.standard_normal(model.state_dim)
+    transition = np.array(
+        [
+            gaussian_log_density(x_next, model.dynamics_mean(x, u, z), model.dynamics_noise_for(z))
+            for z in range(model.num_latents)
+        ]
+    )
+    for o in (np.zeros(1), rng.standard_normal(1)):
+        total = log_likelihoods(o, x_next, u, x, model)
+        assert np.ptp(total) > 1e-3  # the transitions do tell the latents apart
+        observed = total - transition
+        np.testing.assert_allclose(observed, observed[0], rtol=0, atol=1e-9)
+
+
 def test_lane_change_other_accelerates_when_ego_far_behind(lanechange_scenario):
     model = lanechange_scenario.model
     x = np.array([-200.0, 0.0, 0.0, 10.0, 0.0, 10.0])
@@ -340,9 +363,9 @@ def test_lane_change_far_other_makes_latents_irrelevant():
     tree = result.tree
     np.testing.assert_allclose(tree.controls[(0,)], tree.controls[(1,)], atol=1e-6)
     # And the plan coincides with the maximum-likelihood single-chain plan.
-    from poddp.baselines import mlddp_plan
+    from poddp.baselines import PlannerKind, plan
 
-    ml = mlddp_plan(sc.model, sc.initial_state, sc.prior, config)
+    ml = plan(PlannerKind.MLDDP, sc.model, sc.initial_state, sc.prior, config)
     chain = np.vstack([tree.controls[()], tree.controls[(1,)]])
     np.testing.assert_allclose(chain, ml.result.tree.controls[()], atol=1e-6)
 
