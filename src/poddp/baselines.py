@@ -57,6 +57,17 @@ class ExecutablePlan:
             d = np.concatenate([d, logits(b.probs) - tree.betas[ROOT]])
         return u + tree.gains[ROOT][1][t][:, : d.size] @ d
 
+    def warm_start(self, steps: int, b: Belief) -> dict:
+        """Copies of the controls the next replan starts from, after `steps`
+        executed steps and the update to belief `b`. For PODDP the subtree
+        under the most likely child becomes the new tree; a chain drops
+        its executed prefix."""
+        controls = self.result.tree.controls
+        if self.kind is PlannerKind.PODDP:
+            z = b.argmax()
+            return {h[1:]: u.copy() for h, u in controls.items() if h[:1] == (z,)}
+        return {ROOT: controls[ROOT][steps:].copy()}
+
 
 def stacked_model(model: ProblemModel, b: Belief) -> ProblemModel:
     """One state copy per latent value, shared controls, belief-weighted cost."""

@@ -42,9 +42,6 @@ class Belief:
             raise ValueError(f"belief must sum to 1, got {p.sum()!r}")
         object.__setattr__(self, "probs", p)
 
-    def __len__(self):
-        return self.probs.size
-
     def argmax(self) -> int:
         # Ties break toward the lowest index (np.argmax convention).
         return int(np.argmax(self.probs))
@@ -111,6 +108,18 @@ def log_posterior_update(log_prior: np.ndarray, log_likelihood: np.ndarray) -> n
             "total unnormalized posterior mass underflowed"
         )
     return floor_probs(w / total)
+
+
+def log_posterior_jacobian(joint: np.ndarray, d_joint: np.ndarray) -> np.ndarray:
+    """Derivative of log floor_probs(softmax(joint)), the log of the posterior
+    `log_posterior_update` returns for log prior + log likelihood `joint`,
+    given d_joint, the derivative of `joint`. Entries that `floor_probs`
+    clamps stop moving; the others move with the renormalization."""
+    post = softmax(joint)
+    active = post > BELIEF_FLOOR
+    total = np.maximum(post, BELIEF_FLOOR).sum()
+    d_log_post = d_joint - post @ d_joint
+    return active[:, None] * d_log_post - ((active * post) @ d_log_post) / total
 
 
 def log_likelihoods(o, x_next, u, x, model) -> np.ndarray:

@@ -8,13 +8,14 @@ can be reconstructed from its files alone.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 from pathlib import Path
 
 from .baselines import PlannerKind, plan
-from .harness import run_batch, summary_rows, welch_t, write_episodes_csv
+from .harness import run_batch, summarize
 from .scenarios import EXPERIMENTS, build_scenario
 from .scenarios.config import (
     ConfigError,
@@ -86,6 +87,26 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def write_episodes_csv(traces, path: Path) -> None:
+    """One row per episode, sorted by planner and seed; costs at full precision."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["seed", "planner", "true_z", "cumulative_cost", "replans", "converged"]
+        )
+        for tr in sorted(traces, key=lambda t: (t.planner.value, t.seed)):
+            writer.writerow(
+                [
+                    tr.seed,
+                    tr.planner.value,
+                    tr.true_z,
+                    repr(tr.cumulative_cost),
+                    tr.replans,
+                    tr.converged,
+                ]
+            )
+
+
 def _solver_config(scenario, budget) -> SolverConfig:
     return SolverConfig(
         horizon=scenario.horizon, segments=scenario.segments, **budget
@@ -121,37 +142,27 @@ def cmd_solve(args) -> int:
     return 0 if result.converged else 2
 
 
-def _run_benchmark(scenario, planners, n, seed):
+def _run_benchmark(scenario, planners, args, out_dir: Path, tag: str) -> dict:
+    """One batch per planner at `BENCH_BUDGET`; writes `<tag>_episodes.csv`
+    and returns the batches' `summarize`."""
     solver_cfg = _solver_config(scenario, BENCH_BUDGET)
-    stats = []
-    for kind in planners:
-        stats.append(
-            run_batch(
-                kind,
-                scenario.model,
-                scenario.initial_state,
-                scenario.prior,
-                n,
-                seed,
-                solver_cfg,
-                scenario.control_low,
-                scenario.control_high,
-            )
+    stats = [
+        run_batch(
+            kind,
+            scenario.model,
+            scenario.initial_state,
+            scenario.prior,
+            args.n,
+            args.seed,
+            solver_cfg,
+            scenario.control_low,
+            scenario.control_high,
         )
-    comparisons = []
-    if n >= 2:
-        for i in range(len(stats)):
-            for j in range(i + 1, len(stats)):
-                t, p = welch_t(stats[i].costs, stats[j].costs)
-                comparisons.append(
-                    {
-                        "a": stats[i].planner.value,
-                        "b": stats[j].planner.value,
-                        "t": t,
-                        "p": p,
-                    }
-                )
-    return stats, comparisons
+        for kind in planners
+    ]
+    traces = [tr for s in stats for tr in s.traces]
+    write_episodes_csv(traces, out_dir / f"{tag}_episodes.csv")
+    return summarize(stats)
 
 
 def cmd_benchmark(args) -> int:
@@ -159,63 +170,39 @@ def cmd_benchmark(args) -> int:
     planners = [_parse_planner(p) for p in args.planners.split(",")]
     if len(set(planners)) != len(planners):
         raise CliError("duplicate planner in --planners")
+    if args.sweep and args.experiment != "tmaze":
+        raise CliError("--sweep is only defined for the tmaze experiment")
     out_dir = _out_dir(args)
+    header = {
+        "experiment": args.experiment,
+        "config_hash": config_hash(cfg),
+        "config": cfg,
+        "base_seed": args.seed,
+    }
 
     if args.sweep:
-        if args.experiment != "tmaze":
-            raise CliError("--sweep is only defined for the tmaze experiment")
         levels = []
         for level in SIGMA_LEVELS:
             level_cfg = apply_overrides(cfg, {"sigma_level": str(level)})
             scenario = build_scenario(args.experiment, level_cfg)
-            stats, comparisons = _run_benchmark(
-                scenario, planners, args.n, args.seed
-            )
             tag = f"{args.experiment}_sigma_{level}"
-            traces = [tr for s in stats for tr in s.traces]
-            write_episodes_csv(traces, out_dir / f"{tag}_episodes.csv")
-            levels.append(
-                {
-                    "sigma_level": level,
-                    "summaries": summary_rows(stats),
-                    "comparisons": comparisons,
-                }
-            )
-        payload = {
-            "experiment": args.experiment,
-            "config_hash": config_hash(cfg),
-            "config": cfg,
-            "base_seed": args.seed,
-            "n": args.n,
-            "levels": levels,
-        }
+            summary = _run_benchmark(scenario, planners, args, out_dir, tag)
+            levels.append({"sigma_level": level, **summary})
         out = out_dir / f"{args.experiment}_sweep_summary.json"
-        _write_json(out, payload)
+        _write_json(out, {**header, "n": args.n, "levels": levels})
         print(f"{len(SIGMA_LEVELS)}-level sweep complete -> {out}")
         return 0
 
     scenario = build_scenario(args.experiment, cfg)
-    stats, comparisons = _run_benchmark(scenario, planners, args.n, args.seed)
-    traces = [tr for s in stats for tr in s.traces]
-    write_episodes_csv(traces, out_dir / f"{args.experiment}_episodes.csv")
-    _write_json(
-        out_dir / f"{args.experiment}_summary.json",
-        {
-            "experiment": args.experiment,
-            "config_hash": config_hash(cfg),
-            "config": cfg,
-            "base_seed": args.seed,
-            "summaries": summary_rows(stats),
-            "comparisons": comparisons,
-        },
-    )
-    for s in stats:
-        flag = " (stderr undefined at n=1)" if s.stderr_flag else ""
+    summary = _run_benchmark(scenario, planners, args, out_dir, args.experiment)
+    _write_json(out_dir / f"{args.experiment}_summary.json", {**header, **summary})
+    for row in summary["summaries"]:
+        flag = " (stderr undefined at n=1)" if row["stderr_flag"] else ""
         print(
-            f"{s.planner.value}: n={s.n} mean={s.mean:.6g} "
-            f"stderr={s.stderr:.6g}{flag}"
+            f"{row['planner']}: n={row['n']} mean={row['mean']:.6g} "
+            f"stderr={row['stderr']:.6g}{flag}"
         )
-    for c in comparisons:
+    for c in summary["comparisons"]:
         print(f"welch {c['a']} vs {c['b']}: t={c['t']:.4g} p={c['p']:.4g}")
     return 0
 

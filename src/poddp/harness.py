@@ -10,15 +10,13 @@ the true latent value.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .baselines import ExecutablePlan, PlannerKind, plan
+from .baselines import PlannerKind, plan
 from .belief import Belief, DegenerateEvidenceError, bayes_update
 from .model import ProblemModel
 from .solver import SolverConfig
@@ -71,23 +69,6 @@ def _sample(mean, var, rng) -> np.ndarray:
     if var is None:
         return mean
     return mean + rng.standard_normal(np.shape(mean)) * np.sqrt(var)
-
-
-def _warm_start(current: ExecutablePlan, seg_len: int, b: Belief):
-    """Initial controls for the next replan, taken from the unexecuted tail.
-
-    For PODDP the subtree under the most likely child becomes the new tree;
-    the chain planners just drop the executed prefix.
-    """
-    tree = current.result.tree
-    if current.kind is PlannerKind.PODDP:
-        z = b.argmax()
-        return {
-            h[1:]: tree.controls[h].copy()
-            for h in tree.controls
-            if h[:1] == (z,)
-        }
-    return {(): tree.controls[()][seg_len:].copy()}
 
 
 def execute_episode(
@@ -163,7 +144,7 @@ def execute_episode(
             except DegenerateEvidenceError:
                 pass  # keep the prior belief when no hypothesis explains the data
             replans += 1
-            warm = _warm_start(current, seg_len, b)
+            warm = current.warm_start(seg_len, b)
 
     final_cost = float(model.final_cost(x, true_z))
     cumulative += final_cost
@@ -252,30 +233,10 @@ def welch_t(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
     return float(t), p
 
 
-def write_episodes_csv(traces: Sequence[EpisodeTrace], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["seed", "planner", "true_z", "cumulative_cost", "replans", "converged"]
-        )
-        for tr in sorted(traces, key=lambda t: (t.planner.value, t.seed)):
-            writer.writerow(
-                [
-                    tr.seed,
-                    tr.planner.value,
-                    tr.true_z,
-                    repr(tr.cumulative_cost),
-                    tr.replans,
-                    tr.converged,
-                ]
-            )
-
-
-def summary_rows(stats: Sequence[BatchStats]) -> List[dict]:
-    """One row of batch statistics per planner, as the summary files hold them."""
-    return [
+def summarize(stats: Sequence[BatchStats]) -> dict:
+    """One row of batch statistics per planner, and a Welch comparison of
+    each pair of batches in the order given when there are n >= 2 episodes."""
+    rows = [
         {
             "planner": s.planner.value,
             "n": s.n,
@@ -285,3 +246,12 @@ def summary_rows(stats: Sequence[BatchStats]) -> List[dict]:
         }
         for s in stats
     ]
+    comparisons = []
+    for i, a in enumerate(stats):
+        for b in stats[i + 1 :]:
+            if a.n >= 2 and b.n >= 2:
+                t, p = welch_t(a.costs, b.costs)
+                comparisons.append(
+                    {"a": a.planner.value, "b": b.planner.value, "t": t, "p": p}
+                )
+    return {"summaries": rows, "comparisons": comparisons}

@@ -18,12 +18,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .belief import (
-    BELIEF_FLOOR,
     Belief,
     bayes_update,
     log_likelihoods,
+    log_posterior_jacobian,
     logits,
-    softmax,
     softmax_derivatives,
 )
 from .model import ProblemModel, numerical_jacobian
@@ -297,19 +296,14 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, z: int) -> np.ndarray:
             a = (x_next - mean) / dyn_var
             d_loglik[w] -= a @ (dx_next - np.hstack(model.dynamics_jacobians(x, u, w)))
 
-    post = softmax(beta + loglik)
-    # floor_probs clamps entries below the floor, which then stop moving.
-    active = post > BELIEF_FLOOR
-    total = np.maximum(post, BELIEF_FLOOR).sum()
     d_joint = np.empty((nz, ns + nu))  # d(beta + L) / d(x, beta, u)
     d_joint[:, :n] = d_loglik[:, :n]
     d_joint[:, n:ns] = np.eye(nz)
     d_joint[:, ns:] = d_loglik[:, n:]
-    d_log_post = d_joint - post @ d_joint
     jac = np.zeros((ns, ns + nu))
     jac[:n, :n] = f_x
     jac[:n, ns:] = f_u
-    jac[n:] = active[:, None] * d_log_post - ((active * post) @ d_log_post) / total
+    jac[n:] = log_posterior_jacobian(beta + loglik, d_joint)
     return jac
 
 

@@ -187,3 +187,27 @@ def test_plan_without_gains_applies_its_nominal_controls(kind, tmaze_scenario, m
         x = sc.initial_state + rng.standard_normal(sc.model.state_dim)
         b = Belief(np.array([0.3, 0.7]))
         np.testing.assert_array_equal(p.control(t, x, b), tree.controls[()][t])
+
+
+@pytest.mark.parametrize("kind", list(PlannerKind))
+def test_warm_start_continues_the_plan(kind, tmaze_scenario):
+    # After the first segment, PODDP continues from the subtree under the
+    # most likely child (ties: lowest index), re-rooted; a chain continues
+    # from the controls it has not yet executed.
+    sc = tmaze_scenario
+    config = _tmaze_config(sc, max_iterations=3)
+    p = plan(kind, sc.model, sc.initial_state, sc.prior, config)
+    controls = p.result.tree.controls
+    before = {h: u.copy() for h, u in controls.items()}
+    steps = config.segment_lengths()[0]
+    for probs, z in [([0.3, 0.7], 1), ([0.5, 0.5], 0)]:
+        warm = p.warm_start(steps, Belief(np.array(probs)))
+        if kind is PlannerKind.PODDP:
+            expected = {(): controls[(z,)], (0,): controls[(z, 0)], (1,): controls[(z, 1)]}
+        else:
+            expected = {(): controls[()][steps:]}
+        assert warm.keys() == expected.keys()
+        for h, u in warm.items():
+            np.testing.assert_array_equal(u, expected[h])
+            u += 1.0  # the warm start is a copy: the plan keeps its controls
+        assert all(np.array_equal(controls[h], u) for h, u in before.items())

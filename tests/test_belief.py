@@ -13,6 +13,7 @@ from poddp.belief import (
     bayes_update,
     floor_probs,
     gaussian_log_density,
+    log_posterior_jacobian,
     log_posterior_update,
     logits,
     softmax,
@@ -213,6 +214,28 @@ def test_softmax_hessian_matches_finite_differences():
                 - softmax_derivatives(beta - dp)[1][z]
             ) / (2 * eps)
         np.testing.assert_allclose(hess, fd, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "joint, floored",
+    [(np.array([0.3, -0.7, 1.1]), 0), (np.array([2.0, 0.5, -40.0]), 1)],
+    ids=["interior", "one_entry_floored"],
+)
+def test_log_posterior_jacobian_matches_finite_differences(joint, floored):
+    # softmax([2, 0.5, -40])[2] ~ 5e-19 lies below the floor: floor_probs
+    # clamps it, so only the renormalization moves that entry.
+    assert (softmax(joint) < BELIEF_FLOOR).sum() == floored
+    jac = log_posterior_jacobian(joint, np.eye(joint.size))
+    eps = 1e-6
+    fd = np.zeros_like(jac)
+    for i in range(joint.size):
+        dj = np.zeros_like(joint)
+        dj[i] = eps
+        fd[:, i] = (
+            np.log(log_posterior_update(joint + dj, 0.0))
+            - np.log(log_posterior_update(joint - dj, 0.0))
+        ) / (2 * eps)
+    np.testing.assert_allclose(jac, fd, atol=1e-7)
 
 
 def test_gaussian_log_density_scalar_oracle():

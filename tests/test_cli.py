@@ -10,8 +10,12 @@ from pathlib import Path
 import pytest
 
 import poddp
-from poddp.cli import main
+from poddp.baselines import PlannerKind
+from poddp.cli import main, write_episodes_csv
+from poddp.harness import run_batch
+from poddp.scenarios import build_scenario
 from poddp.scenarios.config import config_hash
+from poddp.solver import SolverConfig
 
 
 def test_solve_tmaze_default_seven_node_tree(tmp_path, capsys):
@@ -59,6 +63,22 @@ def test_benchmark_rerun_byte_identical(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("tmaze_episodes.csv", "tmaze_summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_episode_csv_layout_and_determinism(tmp_path):
+    sc = build_scenario("terrain")
+    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=5)
+    batch = run_batch(PlannerKind.MLDDP, sc.model, sc.initial_state, sc.prior, 2, 0,
+                      config, sc.control_low, sc.control_high)
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_episodes_csv(batch.traces, p1)
+    write_episodes_csv(batch.traces, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    header = p1.read_text().splitlines()[0]
+    assert header == "seed,planner,true_z,cumulative_cost,replans,converged"
+    # Full-precision costs: parsing the written value round-trips exactly.
+    row = p1.read_text().splitlines()[1].split(",")
+    assert float(row[3]) == batch.traces[0].cumulative_cost
 
 
 # SHA-256 of the CLI's output files for a fixed run. Criterion 10 compares
@@ -112,13 +132,15 @@ def test_benchmark_single_episode_stderr_flag(tmp_path):
 
 
 def test_sweep_rejected_outside_tmaze(tmp_path):
+    out = tmp_path / "not_yet"
     rc = main(
         [
             "benchmark", "--experiment", "terrain", "--planners", "mlddp",
-            "--n", "1", "--sweep", "--out", str(tmp_path),
+            "--n", "1", "--sweep", "--out", str(out),
         ]
     )
     assert rc == 1
+    assert not out.exists()  # a rejected run leaves no output directory behind
 
 
 def test_out_dir_environment_variable(tmp_path, monkeypatch):

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from poddp.baselines import PlannerKind
+from poddp.baselines import ExecutablePlan, PlannerKind
 from poddp.belief import Belief
 from poddp.harness import (
     episode_streams,
     execute_episode,
     run_batch,
-    summary_rows,
+    summarize,
     welch_t,
-    write_episodes_csv,
 )
 from poddp.model import condition_on_latent
 from poddp.scenarios import build_scenario
@@ -57,18 +56,18 @@ def test_plan_cache_keys_on_the_warm_start(monkeypatch):
     sc, model = _deterministic_chain_scenario()
     config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=3)
     planned = []
-    real_plan, real_warm = harness.plan, harness._warm_start
+    real_plan, real_warm = harness.plan, ExecutablePlan.warm_start
     shift = [0.0]
 
     def counting_plan(*args, **kwargs):
         planned.append(args)
         return real_plan(*args, **kwargs)
 
-    def shifted_warm(*args):
-        return {h: u + shift[0] for h, u in real_warm(*args).items()}
+    def shifted_warm(self, *args):
+        return {h: u + shift[0] for h, u in real_warm(self, *args).items()}
 
     monkeypatch.setattr(harness, "plan", counting_plan)
-    monkeypatch.setattr(harness, "_warm_start", shifted_warm)
+    monkeypatch.setattr(ExecutablePlan, "warm_start", shifted_warm)
     cache = {}
 
     def run():
@@ -100,12 +99,10 @@ def test_replans_split_the_rest_of_the_first_schedule(monkeypatch):
 
     def stub_plan(kind, model, x, b, config, u_init=None):
         schedules.append(config.segment_lengths())
-        tree = SimpleNamespace(controls={(): np.zeros((config.horizon, 1))})
         return SimpleNamespace(
-            kind=kind,
-            result=SimpleNamespace(tree=tree),
             converged=True,
             control=lambda t, x, b: np.zeros(1),
+            warm_start=lambda steps, b: {(): np.zeros((config.horizon - steps, 1))},
         )
 
     monkeypatch.setattr(harness, "plan", stub_plan)
@@ -301,23 +298,7 @@ def test_welch_requires_two_observations():
 
 
 # ---------------------------------------------------------------------------
-# Output files
-
-
-def test_episode_csv_layout_and_determinism(tmp_path):
-    sc = build_scenario("terrain")
-    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=5)
-    batch = run_batch(PlannerKind.MLDDP, sc.model, sc.initial_state, sc.prior, 2, 0,
-                      config, sc.control_low, sc.control_high)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_episodes_csv(batch.traces, p1)
-    write_episodes_csv(batch.traces, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().splitlines()[0]
-    assert header == "seed,planner,true_z,cumulative_cost,replans,converged"
-    # Full-precision costs: parsing the written value round-trips exactly.
-    row = p1.read_text().splitlines()[1].split(",")
-    assert float(row[3]) == batch.traces[0].cumulative_cost
+# Benchmark summary
 
 
 def test_summary_json_layout():
@@ -325,10 +306,32 @@ def test_summary_json_layout():
     config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=5)
     batch = run_batch(PlannerKind.MLDDP, sc.model, sc.initial_state, sc.prior, 2, 0,
                       config, sc.control_low, sc.control_high)
-    (row,) = json.loads(json.dumps(summary_rows([batch])))
+    (row,) = json.loads(json.dumps(summarize([batch])["summaries"]))
     assert set(row) == {"planner", "n", "mean", "stderr", "stderr_flag"}
     assert row["planner"] == "mlddp"
     assert row["n"] == 2
     assert row["mean"] == batch.mean
     assert row["stderr"] == batch.stderr
     assert row["stderr_flag"] == batch.stderr_flag
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_summarize_compares_each_pair_in_order(n):
+    sc = build_scenario("terrain")
+    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=3)
+    batches = [
+        run_batch(kind, sc.model, sc.initial_state, sc.prior, n, 0,
+                  config, sc.control_low, sc.control_high)
+        for kind in (PlannerKind.PWDDP, PlannerKind.MLDDP, PlannerKind.PODDP)
+    ]
+    summary = summarize(batches)
+    assert [row["planner"] for row in summary["summaries"]] == ["pwddp", "mlddp", "poddp"]
+    if n == 1:  # Welch's test needs two episodes per batch
+        assert summary["comparisons"] == []
+        return
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    assert len(summary["comparisons"]) == len(pairs)
+    for (i, j), c in zip(pairs, summary["comparisons"]):
+        t, p = welch_t(batches[i].costs, batches[j].costs)
+        assert c == {"a": batches[i].planner.value, "b": batches[j].planner.value,
+                     "t": t, "p": p}
