@@ -7,7 +7,8 @@ perturbations never leave the probability simplex.
 
 A step's evidence is Gaussian with independent coordinates: the model gives
 its observation and transition noise as vectors of per-coordinate variances,
-and `log_likelihoods` sums the two log densities for every latent value.
+and `evidence` sums the two log densities for every latent value in one
+pass over the latent values.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ class Belief:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("belief must be a non-empty vector")
-        if np.any(p < 0) or not np.isfinite(p).all():
-            raise ValueError("belief entries must be finite and non-negative")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"belief must sum to 1, got {p.sum()!r}")
+        total = p.sum()
+        # NaN fails both comparisons, and +inf makes the sum fail.
+        if not (p.min() >= 0 and abs(total - 1.0) <= 1e-12):
+            if np.any(p < 0) or not np.isfinite(p).all():
+                raise ValueError("belief entries must be finite and non-negative")
+            raise ValueError(f"belief must sum to 1, got {total!r}")
         object.__setattr__(self, "probs", p)
 
     def argmax(self) -> int:
@@ -77,16 +80,17 @@ def softmax_derivatives(beta: np.ndarray):
     return p, jac, hess
 
 
-def gaussian_log_density(value: np.ndarray, mean: np.ndarray, var) -> float:
-    """Log density of a Gaussian with independent coordinates; `var` holds
-    the variance of each coordinate."""
+def gaussian_log_density(value: np.ndarray, mean: np.ndarray, var):
+    """Log density of a Gaussian with independent coordinates (the last
+    axis); `var` holds the variance of each coordinate. A stack of vectors,
+    each with its own variances, gives one density per vector."""
     r = np.atleast_1d(np.subtract(value, mean, dtype=float))
     var = np.asarray(var, dtype=float)
     if var.shape != r.shape:
-        raise ValueError(f"expected {r.size} variances, got shape {var.shape}")
+        raise ValueError(f"expected variances of shape {r.shape}, got {var.shape}")
     if (var <= 0).any():
         raise ValueError("variances must be positive")
-    return float(-0.5 * np.sum(r * r / var + np.log(2.0 * np.pi * var)))
+    return -0.5 * np.sum(r * r / var + np.log(2.0 * np.pi * var), axis=-1)
 
 
 def log_posterior_update(log_prior: np.ndarray, log_likelihood: np.ndarray) -> np.ndarray:
@@ -122,25 +126,33 @@ def log_posterior_jacobian(joint: np.ndarray, d_joint: np.ndarray) -> np.ndarray
     return active[:, None] * d_log_post - ((active * post) @ d_log_post) / total
 
 
-def log_likelihoods(o, x_next, u, x, model) -> np.ndarray:
-    """Log-likelihood of the evidence of one step under each latent value z:
-    log p(o | x_next, z) + log p(x_next | x, u, z), both Gaussian with the
-    model's per-coordinate variances. A dynamics noise of ``None``
-    (deterministic dynamics) contributes no transition evidence."""
-    loglik = np.zeros(model.num_latents)
-    for z in range(model.num_latents):
-        obs_mean = model.observation_mean(x_next, z)
-        loglik[z] = gaussian_log_density(o, obs_mean, model.observation_noise(x_next, z))
-        dyn_var = model.dynamics_noise_for(z)
-        if dyn_var is not None:
-            dyn_mean = model.dynamics_mean(x, u, z)
-            loglik[z] += gaussian_log_density(x_next, dyn_mean, dyn_var)
-    return loglik
+def evidence(o, x_next, u, x, model):
+    """Log-likelihood L(z) = log p(o | x_next, z) + log p(x_next | x, u, z)
+    of one step's evidence under every latent value z, both Gaussian with
+    the model's per-coordinate variances, each density evaluated once over
+    the stacked latents. Returns (L, observation means, observation
+    variances, noisy, transition means, transition variances), the
+    transition moments stacked over `noisy`, the latents whose dynamics
+    noise is not ``None`` (no transition evidence without it)."""
+    nz = model.num_latents
+    latents = range(nz)
+    obs_mean = np.array(
+        [model.observation_mean(x_next, z) for z in latents], dtype=float
+    ).reshape(nz, -1)
+    obs_var = np.array([model.observation_noise(x_next, z) for z in latents], float)
+    loglik = gaussian_log_density(o, obs_mean, obs_var)
+    noisy = [z for z in latents if model.dynamics_noise_for(z) is not None]
+    dyn_mean = np.array([model.dynamics_mean(x, u, z) for z in noisy], float)
+    dyn_var = np.array([model.dynamics_noise_for(z) for z in noisy], float)
+    if noisy:
+        loglik[noisy] += gaussian_log_density(x_next, dyn_mean, dyn_var)
+    return loglik, obs_mean, obs_var, noisy, dyn_mean, dyn_var
 
 
 def bayes_update(o, x_next, u, x, b: Belief, model) -> Belief:
     """One recursive Bayes step over the latent hypotheses: the posterior
-    is proportional to b(z) exp(`log_likelihoods`(z))."""
+    is proportional to b(z) exp(L(z)), L the log-likelihood of `evidence`."""
     with np.errstate(divide="ignore"):
         log_prior = np.log(b.probs)
-    return Belief(log_posterior_update(log_prior, log_likelihoods(o, x_next, u, x, model)))
+    loglik = evidence(o, x_next, u, x, model)[0]
+    return Belief(log_posterior_update(log_prior, loglik))

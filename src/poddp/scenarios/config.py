@@ -143,7 +143,7 @@ def load_config(path) -> Dict[str, Value]:
 def default_config(experiment: str) -> Dict[str, Value]:
     """Shipped configuration for one of the named experiments."""
     fname = f"{experiment}.cfg"
-    ref = resources.files("poddp.scenarios").joinpath("configs", fname)
+    ref = resources.files(__package__).joinpath("configs", fname)
     if not ref.is_file():
         raise ConfigError(f"no shipped config for experiment {experiment!r}")
     return parse_config(ref.read_text())

@@ -20,7 +20,7 @@ import numpy as np
 from .belief import (
     Belief,
     bayes_update,
-    log_likelihoods,
+    evidence,
     log_posterior_jacobian,
     logits,
     softmax_derivatives,
@@ -263,9 +263,10 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, z: int) -> np.ndarray:
     update.
 
     x'_z = f(x, u, z) is observed as o_z = h(x'_z, z), and
-    beta'_z = log floor(softmax(beta + L)), where L = `log_likelihoods` of
-    (o_z, x'_z), as in `bayes_update`. No callback gives the derivative of
-    the observation variances, so it is differenced.
+    beta'_z = log floor(softmax(beta + L)), where L is the log-likelihood
+    of (o_z, x'_z), as in `bayes_update`; every latent's residuals and
+    variances come from that one `evidence` pass. No callback gives the
+    derivative of the observation variances, so it is differenced.
     """
     n, nz, nu = model.state_dim, model.num_latents, model.control_dim
     ns = n + nz
@@ -279,22 +280,19 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, z: int) -> np.ndarray:
         x_next,
     ).reshape(nz, o.size, n)
 
-    loglik = log_likelihoods(o, x_next, u, x, model)
+    loglik, obs_mean, obs_var, noisy, dyn_mean, dyn_var = evidence(o, x_next, u, x, model)
+    inv_var = 1.0 / obs_var
     d_loglik = np.empty((nz, n + nu))  # d L_w / d(x, u)
-    for w in range(nz):
-        inv_var = 1.0 / np.asarray(model.observation_noise(x_next, w), dtype=float)
-        a = inv_var * (o - model.observation_mean(x_next, w))
+    for w, a in enumerate(inv_var * (o - obs_mean)):
         d_next = (
             -a @ (h_z - model.observation_jacobian(x_next, w))
             + 0.5 * np.einsum("i,ic,i->c", a, d_var[w], a)
-            - 0.5 * (inv_var @ d_var[w])
+            - 0.5 * (inv_var[w] @ d_var[w])
         )
         d_loglik[w] = d_next @ dx_next
-        dyn_var = model.dynamics_noise_for(w)
-        if dyn_var is not None:
-            mean = np.asarray(model.dynamics_mean(x, u, w), dtype=float)
-            a = (x_next - mean) / dyn_var
-            d_loglik[w] -= a @ (dx_next - np.hstack(model.dynamics_jacobians(x, u, w)))
+    for w, mean, var in zip(noisy, dyn_mean, dyn_var):
+        a = (x_next - mean) / var
+        d_loglik[w] -= a @ (dx_next - np.hstack(model.dynamics_jacobians(x, u, w)))
 
     d_joint = np.empty((nz, ns + nu))  # d(beta + L) / d(x, beta, u)
     d_joint[:, :n] = d_loglik[:, :n]
@@ -337,34 +335,43 @@ def _expected_q(cost, beta, jacs, value_models):
     return c0 + float(p @ ctg), q, big_q, dv
 
 
-def _solve_gains(q0, q, big_q, dv_next, ns: int, lam: float):
-    """Control update of one step from its Q-expansion over (s, u), s the
-    first `ns` coordinates.
+def _matvec(a, v):
+    """a @ v over any leading axes: numpy's matrix-vector kernel per item
+    (a vector of one node needs no reshape)."""
+    return a @ v if v.ndim == 1 else (a @ v[..., None])[..., 0]
 
-    Q is symmetrized, and Q_uu + lam I factored by Cholesky (failure raises
-    `BackwardFailureError`). With k = -Q_uu^-1 q_u and K = -Q_uu^-1 Q_us on
-    that regularized Q_uu, the value model is v_s = q_s + Q_su k,
-    v_ss = Q_ss + Q_su K and dv = k^T q_u / 2 plus the successors' dv.
+
+def _solve_gains(q0, q, big_q, dv_next, ns: int, reg):
+    """Control update of one step from its Q-expansion over (s, u), s the
+    first `ns` coordinates, of one node or of a stack of nodes (leading axes:
+    numpy runs the same BLAS and LAPACK kernel per node, so each node's bits).
+
+    Q is symmetrized, and Q_uu + reg, reg = lam I, factored by Cholesky
+    (failure raises `BackwardFailureError`). With k = -Q_uu^-1 q_u and
+    K = -Q_uu^-1 Q_us on that regularized Q_uu, the value model is
+    v_s = q_s + Q_su k, v_ss = Q_ss + Q_su K and dv = k^T q_u / 2 plus the
+    successors' dv.
     """
-    big_q = 0.5 * (big_q + big_q.T)
-    nu = q.size - ns
+    big_q = 0.5 * (big_q + big_q.swapaxes(-1, -2))
     try:
-        chol = np.linalg.cholesky(big_q[ns:, ns:] + lam * np.eye(nu))
+        chol = np.linalg.cholesky(big_q[..., ns:, ns:] + reg)
     except np.linalg.LinAlgError:
         raise BackwardFailureError("Q_uu not positive definite")
     chol_inv = np.linalg.inv(chol)
-    half_k = chol_inv @ q[ns:]  # L^-1 q_u
-    half_gain = chol_inv @ big_q[ns:, :ns]  # L^-1 Q_us
-    k = -chol_inv.T @ half_k
-    gain = -chol_inv.T @ half_gain
-    v_s = q[:ns] + big_q[:ns, ns:] @ k
+    neg_inv_t = -chol_inv.swapaxes(-1, -2)
+    q_u = q[..., ns:]
+    half_k = _matvec(chol_inv, q_u)  # L^-1 q_u
+    half_gain = chol_inv @ big_q[..., ns:, :ns]  # L^-1 Q_us
+    k = _matvec(neg_inv_t, half_k)
+    gain = neg_inv_t @ half_gain
+    v_s = q[..., :ns] + _matvec(big_q[..., :ns, ns:], k)
     # Q_su K = -(L^-1 Q_us)^T (L^-1 Q_us), which keeps v_ss symmetric.
-    v_ss = big_q[:ns, :ns] - half_gain.T @ half_gain
-    dv = 0.5 * float(k @ q[ns:]) + dv_next
-    return k, gain, QuadraticValueModel(dv=dv, v_s=v_s, v_ss=v_ss, cost_to_go=float(q0))
+    v_ss = big_q[..., :ns, :ns] - half_gain.swapaxes(-1, -2) @ half_gain
+    dv = 0.5 * _matvec(k[..., None, :], q_u)[..., 0] + dv_next
+    return k, gain, QuadraticValueModel(dv=dv, v_s=v_s, v_ss=v_ss, cost_to_go=q0)
 
 
-def optimize_control(cost, beta, jacs, child_value_models, lam: float):
+def optimize_control(cost, beta, jacs, child_value_models, reg):
     """Branch-step control update: the belief-weighted Q-expansion through
     the per-latent successors (dynamics -> observation -> belief update),
     with Jacobians `jacs` from `_branch_jacobians`, into the children's value
@@ -373,110 +380,141 @@ def optimize_control(cost, beta, jacs, child_value_models, lam: float):
     `cost` is the step's `_cost_expansion`. Returns (k, K, value model at s).
     """
     q_terms = _expected_q(cost, beta, jacs, child_value_models)
-    return _solve_gains(*q_terms, jacs[0].shape[0], lam)
+    return _solve_gains(*q_terms, jacs[0].shape[0], reg)
 
 
-def _insegment_step(cost, jac, next_vm: QuadraticValueModel, lam: float):
-    """One DDP step within a segment: the successor (f(x, u), beta), with
-    Jacobian `jac`, and its value model are shared by every latent, so
-    q = c + F^T v' and Q = C + F^T V' F (`_expected_q` with one successor)."""
+def _insegment_step(cost, jac, next_vm: QuadraticValueModel, reg):
+    """One DDP step within a segment, for one node or a level's stack of
+    nodes: the successor (f(x, u), beta), with Jacobian `jac`, and its value
+    model are shared by every latent, so q = c + F^T v' and
+    Q = C + F^T V' F (`_expected_q` with one successor)."""
     c0, c, big_c = cost
-    q = c + jac.T @ next_vm.v_s
-    big_q = big_c + jac.T @ next_vm.v_ss @ jac
-    return _solve_gains(
-        c0 + next_vm.cost_to_go, q, big_q, next_vm.dv, jac.shape[0], lam
-    )
+    jac_t = jac.swapaxes(-1, -2)
+    q = c + _matvec(jac_t, next_vm.v_s)
+    big_q = big_c + jac_t @ next_vm.v_ss @ jac
+    q0 = c0 + next_vm.cost_to_go
+    return _solve_gains(q0, q, big_q, next_vm.dv, jac.shape[-2], reg)
+
+
+_VALUE_FIELDS = ("dv", "v_s", "v_ss", "cost_to_go")
+
+
+def _stack(parts, axis=0):
+    """A level's per-node arrays, stacked along `axis`. A one-node level
+    keeps its node's own, so a chain sweeps unstacked steps."""
+    return parts[0] if len(parts) == 1 else np.array(parts).swapaxes(0, axis)
+
+
+def _unstack(a, nodes: int, axis=0):
+    """The per-node parts of `_stack` of `nodes` arrays."""
+    return [a] if nodes == 1 else list(a.swapaxes(0, axis))
+
+
+def _stack_value_models(vms: Sequence[QuadraticValueModel]) -> QuadraticValueModel:
+    per_field = ([getattr(vm, f) for vm in vms] for f in _VALUE_FIELDS)
+    return QuadraticValueModel(*map(_stack, per_field))
 
 
 @dataclass(frozen=True)
-class NodeLinearization:
-    """What the backward pass reads of one node, none of which depends on
-    lambda: the steps' `_cost_expansion` (levels, gradients, Hessians), the
-    in-segment Jacobians, and either the branch step's per-latent Jacobians
-    (`branch_jacobians`) or the leaf's terminal value model (`terminal`)."""
+class LevelLinearization:
+    """What the backward pass reads of one tree level, none of which
+    depends on lambda: the in-segment steps' `_cost_expansion` and
+    Jacobians, stacked by `_stack` (steps, then nodes in `histories` order),
+    and either each node's branch-step `_cost_expansion` and per-latent
+    Jacobians (`branch_steps`) or the leaves' terminal value models."""
 
+    histories: Tuple[HistoryPath, ...]
     cost: Tuple[np.ndarray, np.ndarray, np.ndarray]
     insegment_jacobians: np.ndarray
-    branch_jacobians: Optional[List[np.ndarray]] = None
+    branch_steps: Optional[List[Tuple[tuple, List[np.ndarray]]]] = None
     terminal: Optional[QuadraticValueModel] = None
 
 
 @dataclass(frozen=True)
 class Linearization:
     """The local model of a nominal tree, formed once by `linearize` and
-    swept by `backward_pass` at any lambda."""
+    swept by `backward_pass` at any lambda, one entry per level, root first."""
 
     tree: TrajectoryTree
-    nodes: Dict[HistoryPath, NodeLinearization]
+    levels: Tuple[LevelLinearization, ...]
 
 
 def linearize(model: ProblemModel, tree: TrajectoryTree) -> Linearization:
     """Expand every node of `tree`: running costs, in-segment dynamics, and
-    the branch step's successors or the leaf's final cost."""
-    nodes = {}
-    for h, us in tree.controls.items():
-        xs = tree.xs[h]
-        beta = tree.betas[h]
-        leaf = tree.is_leaf(h)
-        m_in = us.shape[0] if leaf else us.shape[0] - 1
-        z_dyn = node_dynamics_latent(h, tree.beliefs[()])
-        terminal = branch_jacobians = None
-        if leaf:
-            terminal = terminal_value_model(model, *tree.terminal_state(h))
-        else:
-            branch_jacobians = [
-                _branch_jacobians(model, xs[-1], beta, us[-1], z)
-                for z in range(tree.num_latents)
-            ]
-        nodes[h] = NodeLinearization(
-            cost=_cost_expansion(model, xs, us, beta),
-            insegment_jacobians=_insegment_jacobians(model, xs[:m_in], us[:m_in], z_dyn),
-            branch_jacobians=branch_jacobians,
-            terminal=terminal,
+    the branch step's successors or the leaf's final cost. Every node of a
+    level has the same segment length, so each level is stacked here once."""
+    nz = tree.num_latents
+    levels = []
+    for depth, m in enumerate(tree.segment_lengths):
+        hs = tuple(h for h in tree.histories() if len(h) == depth)
+        leaf = depth == tree.num_segments - 1
+        m_in = m if leaf else m - 1
+        costs, jacs, ends = [], [], []
+        for h in hs:
+            xs, us, beta = tree.xs[h], tree.controls[h], tree.betas[h]
+            cost = _cost_expansion(model, xs, us, beta)
+            costs.append(tuple(c[:m_in] for c in cost))
+            z_dyn = node_dynamics_latent(h, tree.beliefs[()])
+            jacs.append(_insegment_jacobians(model, xs[:m_in], us[:m_in], z_dyn))
+            if leaf:
+                ends.append(terminal_value_model(model, *tree.terminal_state(h)))
+            else:
+                x, u = xs[-1], us[-1]
+                branch = [_branch_jacobians(model, x, beta, u, z) for z in range(nz)]
+                ends.append((tuple(c[-1] for c in cost), branch))
+        levels.append(
+            LevelLinearization(
+                hs,
+                tuple(_stack(parts, 1) for parts in zip(*costs)),
+                _stack(jacs, 1),
+                branch_steps=None if leaf else ends,
+                terminal=_stack_value_models(ends) if leaf else None,
+            )
         )
-    return Linearization(tree, nodes)
+    return Linearization(tree, tuple(levels))
 
 
 def backward_pass(
     linearization: Linearization,
     lam: float,
 ) -> Tuple[Dict[HistoryPath, NodeGains], Dict[HistoryPath, QuadraticValueModel]]:
-    """Depth-first, post-order dynamic programming over a linearized tree.
+    """Dynamic programming over a linearized tree, deepest level first.
 
-    Children are processed first; their value models combine through the
-    belief-weighted expansion at the parent's branch step, then the standard
-    per-step recursion runs back through the segment. Raises
-    `BackwardFailureError` when Q_uu cannot be made positive definite at the
-    given regularization (the caller raises lambda and sweeps again over the
-    same linearization).
+    At a level above the leaves, each node's branch step combines its
+    children's value models through the belief-weighted expansion; then the
+    level's nodes take each in-segment step back through their segments
+    together, as one stacked step. Raises `BackwardFailureError` when Q_uu
+    cannot be made positive definite at the given regularization (the
+    caller raises lambda and sweeps again over the same linearization).
     """
     tree = linearization.tree
+    nz = tree.num_latents
+    reg = lam * np.eye(tree.controls[()].shape[1])
     gains: Dict[HistoryPath, NodeGains] = {}
     value_models: Dict[HistoryPath, QuadraticValueModel] = {}
-
-    def visit(h: HistoryPath) -> QuadraticValueModel:
-        node = linearization.nodes[h]
-        levels, grads, hessians = node.cost
-        m = levels.shape[0]
-        k = np.empty(tree.controls[h].shape)
-        K = np.empty(k.shape + (node.insegment_jacobians.shape[1],))
-        if node.terminal is not None:
-            vm = node.terminal
-        else:
-            child_vms = [visit(h + (z,)) for z in range(tree.num_latents)]
-            j = m - 1
-            cost = (levels[j], grads[j], hessians[j])
-            k[j], K[j], vm = optimize_control(
-                cost, tree.betas[h], node.branch_jacobians, child_vms, lam
+    for level in reversed(linearization.levels):
+        hs, (c0, c, big_c) = level.histories, level.cost
+        jacs = level.insegment_jacobians
+        # Gains (m, [nodes,] nu) and (m, [nodes,] nu, n + nz), laid out as `_stack`.
+        m = tree.segment_lengths[len(hs[0])]
+        k = np.empty((m,) + jacs.shape[1:-2] + reg.shape[:1])
+        K = np.empty(k.shape + jacs.shape[-2:-1])
+        vm = level.terminal
+        if vm is None:
+            steps = (
+                (cost, tree.betas[h], b_jacs, [value_models[h + (z,)] for z in range(nz)])
+                for h, (cost, b_jacs) in zip(hs, level.branch_steps)
             )
-        for j in reversed(range(node.insegment_jacobians.shape[0])):
-            cost = (levels[j], grads[j], hessians[j])
-            k[j], K[j], vm = _insegment_step(cost, node.insegment_jacobians[j], vm, lam)
-        gains[h] = (k, K)
-        value_models[h] = vm
-        return vm
-
-    visit(())
+            k_b, K_b, vms = zip(*(optimize_control(*step, reg) for step in steps))
+            k[-1], K[-1], vm = _stack(k_b), _stack(K_b), _stack_value_models(vms)
+        for j in reversed(range(jacs.shape[0])):
+            cost = (c0[j], c[j], big_c[j])
+            k[j], K[j], vm = _insegment_step(cost, jacs[j], vm, reg)
+        node_vms = zip(*(_unstack(getattr(vm, f), len(hs)) for f in _VALUE_FIELDS))
+        node_gains = zip(_unstack(k, len(hs), 1), _unstack(K, len(hs), 1))
+        for h, k_K, (dv, v_s, v_ss, ctg) in zip(hs, node_gains, node_vms):
+            gains[h] = k_K
+            value_models[h] = QuadraticValueModel(float(dv), v_s, v_ss, float(ctg))
     return gains, value_models
 
 

@@ -262,6 +262,20 @@ def test_gaussian_log_density_rejects_bad_variances(var):
     # scalar, a matrix or an entry <= 0 is an error, not broadcast or ignored.
     with pytest.raises(ValueError):
         gaussian_log_density(np.zeros(3), np.zeros(3), var)
+    # The same variances as the second of a stack of two vectors.
+    stacked = np.array([np.ones_like(var), var])
+    with pytest.raises(ValueError):
+        gaussian_log_density(np.zeros((2, 3)), np.zeros((2, 3)), stacked)
+
+
+def test_gaussian_log_density_stacks_vectors():
+    v = np.array([[0.3, -1.2, 0.8], [1.0, 0.5, -0.4]])
+    m = np.array([[0.1, 0.4, -0.2], [0.2, 0.0, 0.3]])
+    var = np.array([[0.5, 2.0, 1.3], [1.1, 0.2, 0.7]])
+    stacked = gaussian_log_density(v, m, var)
+    assert stacked.shape == (2,)
+    for i in range(2):
+        assert stacked[i] == gaussian_log_density(v[i], m[i], var[i])
 
 
 def test_belief_validation():
@@ -269,3 +283,22 @@ def test_belief_validation():
         Belief(np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         Belief(np.array([-0.1, 1.1]))
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ([np.nan, 1.0], "finite and non-negative"),
+        ([np.inf, 0.0], "finite and non-negative"),
+        ([-np.inf, 1.0], "finite and non-negative"),
+        ([-0.1, 1.1], "finite and non-negative"),
+        ([0.7, 0.7], r"sum to 1, got np.float64\(1.4\)"),
+        ([0.5, 0.5 + 1e-11], "sum to 1"),
+        ([[0.5, 0.5]], "non-empty vector"),
+        ([], "non-empty vector"),
+    ],
+    ids=["nan", "inf", "minus_inf", "negative", "sum", "sum_1e-11", "matrix", "empty"],
+)
+def test_belief_rejects_each_bad_vector_with_its_message(probs, message):
+    with pytest.raises(ValueError, match=message):
+        Belief(np.array(probs, dtype=float))

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from poddp.belief import Belief, gaussian_log_density, log_likelihoods
+from poddp.belief import Belief, evidence, gaussian_log_density
 from poddp.scenarios import build_scenario
 from poddp.scenarios import lane_change, terrain, tmaze
 from poddp.scenarios.config import ConfigError, apply_overrides, config_hash, default_config, parse_config
@@ -327,7 +327,7 @@ def test_idm_monotone_in_closing_speed():
 
 @pytest.mark.parametrize("name", ["terrain", "lanechange"])
 def test_unobserved_scenarios_take_evidence_from_transitions_alone(name):
-    # Their observation channel is uninformative: what `log_likelihoods`
+    # Their observation channel is uninformative: what `evidence`
     # adds to the transition log density is the same under every latent.
     sc = build_scenario(name)
     model = sc.model
@@ -342,7 +342,7 @@ def test_unobserved_scenarios_take_evidence_from_transitions_alone(name):
         ]
     )
     for o in (np.zeros(1), rng.standard_normal(1)):
-        total = log_likelihoods(o, x_next, u, x, model)
+        total = evidence(o, x_next, u, x, model)[0]
         assert np.ptp(total) > 1e-3  # the transitions do tell the latents apart
         observed = total - transition
         np.testing.assert_allclose(observed, observed[0], rtol=0, atol=1e-9)

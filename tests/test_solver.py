@@ -9,7 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poddp.belief import BELIEF_FLOOR, Belief, bayes_update, softmax
+from poddp.belief import (
+    BELIEF_FLOOR,
+    Belief,
+    bayes_update,
+    evidence,
+    gaussian_log_density,
+    softmax,
+)
 from poddp.model import ProblemModel, numerical_jacobian
 import poddp.solver
 from poddp.solver import (
@@ -28,11 +35,12 @@ from poddp.solver import (
     evaluate_tree_cost,
     forward_pass,
     linearize,
+    node_dynamics_latent,
     optimize_control,
     solve,
     terminal_value_model,
 )
-from poddp.tree import TrajectoryTree, tree_to_dict
+from poddp.tree import QuadraticValueModel, TrajectoryTree, tree_to_dict
 
 from conftest import (
     lqr_problem_model,
@@ -260,7 +268,7 @@ def test_optimize_control_zero_problem_gives_zero_gains():
     cost = _step_cost(model, x, beta, u)
     succs, jacs = _branches(model, x, beta, u)
     children = _terminal_children(model, succs)
-    k, gain, vm = optimize_control(cost, beta, jacs, children, lam=1e-6)
+    k, gain, vm = optimize_control(cost, beta, jacs, children, 1e-6 * np.eye(1))
     np.testing.assert_allclose(k, 0.0, atol=1e-12)
     np.testing.assert_allclose(gain, 0.0, atol=1e-12)
     assert abs(vm.dv) < 1e-12
@@ -275,8 +283,6 @@ def test_optimize_control_one_step_lqr_closed_form():
     p_mat = np.diag([1.5, 0.7, 2.2])
     p_vec = rng.standard_normal(3)
     n, nz = 3, 1
-    from poddp.tree import QuadraticValueModel
-
     v_s = np.zeros(n + nz)
     v_s[:n] = p_vec
     v_ss = np.zeros((n + nz, n + nz))
@@ -285,7 +291,7 @@ def test_optimize_control_one_step_lqr_closed_form():
     beta = np.zeros(1)
     cost = _step_cost(model, x, beta, u_bar)
     _, jacs = _branches(model, x, beta, u_bar)
-    k, _, _ = optimize_control(cost, beta, jacs, [child], lam=0.0)
+    k, _, _ = optimize_control(cost, beta, jacs, [child], np.zeros((2, 2)))
     # One-step LQR oracle around the same expansion point.
     b_mat = lqr.b
     q_u = lqr.r @ u_bar + b_mat.T @ p_vec
@@ -300,7 +306,7 @@ def test_optimize_control_symmetric_belief_no_lateral_preference(tmaze_scenario)
     cost = _step_cost(sc.model, x, beta, u)
     succs, jacs = _branches(sc.model, x, beta, u)
     children = _terminal_children(sc.model, succs)
-    k, _, _ = optimize_control(cost, beta, jacs, children, lam=1e-6)
+    k, _, _ = optimize_control(cost, beta, jacs, children, 1e-6 * np.eye(2))
     assert abs(k[0]) < 1e-8  # steering component
 
 
@@ -562,6 +568,28 @@ def _evidence_points(model, seed, count=8):
         yield x, beta, u
 
 
+@pytest.mark.parametrize("noise_scale", [1.0, 1e-3])
+def test_evidence_equals_per_latent_densities(noise_scale):
+    # One evidence pass over every latent gives, bit for bit, the sum of one
+    # observation and one transition density per latent; the last latent
+    # has no transition noise and so no transition term.
+    model = _evidence_model(noise_scale)
+    for x, _, u in _evidence_points(model, seed=26):
+        x_next = model.dynamics_mean(x, u, 1)
+        o = model.observation_mean(x_next, 2)
+        expected = np.zeros(model.num_latents)
+        for z in range(model.num_latents):
+            expected[z] = gaussian_log_density(
+                o, model.observation_mean(x_next, z), model.observation_noise(x_next, z)
+            )
+            dyn_var = model.dynamics_noise_for(z)
+            if dyn_var is not None:
+                expected[z] += gaussian_log_density(
+                    x_next, model.dynamics_mean(x, u, z), dyn_var
+                )
+        assert _same_bits(evidence(o, x_next, u, x, model)[0], expected)
+
+
 def _check_branch_jacobians(model, x, beta, u):
     s_vec = np.concatenate([x, beta])
     for z in range(model.num_latents):
@@ -612,8 +640,6 @@ def test_value_hessian_symmetric(tmaze_scenario):
 def _insegment_points(sc, seed, count=12):
     """Perturbed in-segment expansion points (x, beta, u, z_dyn, next value
     model) taken from a briefly solved tree of the scenario."""
-    from poddp.solver import node_dynamics_latent
-
     config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=6)
     tree = solve(sc.model, sc.initial_state, sc.prior, config).tree
     rng = np.random.default_rng(seed)
@@ -755,14 +781,14 @@ def test_insegment_q_equals_per_latent_expansion(name, request):
     ns = model.state_dim + model.num_latents
     for x, beta, u, z_dyn, vm in _insegment_points(sc, seed=23, count=6):
         cost, jac, expansion = _insegment_expansion(model, x, beta, u, z_dyn, vm)
-        lam = 1e-6
+        reg = 1e-6 * np.eye(model.control_dim)
         while True:
             try:
-                expected = _solve_gains(*expansion, ns, lam)
+                expected = _solve_gains(*expansion, ns, reg)
                 break
             except BackwardFailureError:
-                lam *= 10.0
-        k, gain, got = _insegment_step(cost, jac, vm, lam)
+                reg *= 10.0
+        k, gain, got = _insegment_step(cost, jac, vm, reg)
         np.testing.assert_allclose(k, expected[0], rtol=1e-10, atol=1e-9)
         np.testing.assert_allclose(gain, expected[1], rtol=1e-10, atol=1e-9)
         for field in ("v_s", "v_ss", "dv", "cost_to_go"):
@@ -878,6 +904,123 @@ def test_divergent_line_search_trials_are_rejected(limit, mode):
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_sweeps(got, expected, histories):
+    (gains, vms), (ref_gains, ref_vms) = got, expected
+    assert gains.keys() == ref_gains.keys() == vms.keys() == ref_vms.keys()
+    assert set(gains) == set(histories)
+    for h, (k, K) in gains.items():
+        assert _same_bits(k, ref_gains[h][0]), h
+        assert _same_bits(K, ref_gains[h][1]), h
+        for name in ("dv", "v_s", "v_ss", "cost_to_go"):
+            assert _same_bits(getattr(vms[h], name), getattr(ref_vms[h], name)), (h, name)
+
+
+# The per-node sweep, one Riccati step per node and step, as the solver ran
+# it before each tree level was swept as one stacked step. It is the oracle
+# `backward_pass` must equal bit for bit.
+
+
+def _ref_solve_gains(q0, q, big_q, dv_next, ns, lam):
+    big_q = 0.5 * (big_q + big_q.T)
+    nu = q.size - ns
+    try:
+        chol = np.linalg.cholesky(big_q[ns:, ns:] + lam * np.eye(nu))
+    except np.linalg.LinAlgError:
+        raise BackwardFailureError("Q_uu not positive definite")
+    chol_inv = np.linalg.inv(chol)
+    half_k = chol_inv @ q[ns:]
+    half_gain = chol_inv @ big_q[ns:, :ns]
+    k = -chol_inv.T @ half_k
+    gain = -chol_inv.T @ half_gain
+    v_s = q[:ns] + big_q[:ns, ns:] @ k
+    v_ss = big_q[:ns, :ns] - half_gain.T @ half_gain
+    dv = 0.5 * float(k @ q[ns:]) + dv_next
+    return k, gain, QuadraticValueModel(dv=dv, v_s=v_s, v_ss=v_ss, cost_to_go=float(q0))
+
+
+def _ref_insegment_step(cost, jac, next_vm, lam):
+    c0, c, big_c = cost
+    q = c + jac.T @ next_vm.v_s
+    big_q = big_c + jac.T @ next_vm.v_ss @ jac
+    return _ref_solve_gains(
+        c0 + next_vm.cost_to_go, q, big_q, next_vm.dv, jac.shape[0], lam
+    )
+
+
+def _ref_tree_backward(model, tree, lam):
+    """Depth-first, post-order sweep: a node's children first, combined by
+    the belief-weighted expansion at its branch step, then the per-step
+    recursion back through its segment. Each node's expansions come from
+    the per-node functions `linearize` calls."""
+    gains, vms = {}, {}
+
+    def visit(h):
+        xs, us, beta = tree.xs[h], tree.controls[h], tree.betas[h]
+        levels, grads, hessians = _cost_expansion(model, xs, us, beta)
+        m = us.shape[0]
+        m_in = m if tree.is_leaf(h) else m - 1
+        z_dyn = node_dynamics_latent(h, tree.beliefs[()])
+        jacs = _insegment_jacobians(model, xs[:m_in], us[:m_in], z_dyn)
+        k = np.empty(us.shape)
+        K = np.empty(k.shape + (jacs.shape[1],))
+        if tree.is_leaf(h):
+            vm = terminal_value_model(model, *tree.terminal_state(h))
+        else:
+            children = [visit(h + (z,)) for z in range(tree.num_latents)]
+            branch = [
+                _branch_jacobians(model, xs[-1], beta, us[-1], z)
+                for z in range(tree.num_latents)
+            ]
+            j = m - 1
+            cost = (levels[j], grads[j], hessians[j])
+            q_terms = _expected_q(cost, beta, branch, children)
+            k[j], K[j], vm = _ref_solve_gains(*q_terms, jacs.shape[1], lam)
+        for j in reversed(range(m_in)):
+            cost = (levels[j], grads[j], hessians[j])
+            k[j], K[j], vm = _ref_insegment_step(cost, jacs[j], vm, lam)
+        gains[h], vms[h] = (k, K), vm
+        return vm
+
+    visit(())
+    return gains, vms
+
+
+def _check_sweeps_against_reference(model, tree, lams):
+    lin = linearize(model, tree)
+    swept = 0
+    for lam in lams:
+        try:
+            expected = _ref_tree_backward(model, tree, lam)
+        except BackwardFailureError:
+            with pytest.raises(BackwardFailureError):
+                backward_pass(lin, lam)
+            continue
+        _assert_same_sweeps(backward_pass(lin, lam), expected, tree.controls.keys())
+        swept += 1
+    return swept
+
+
+@pytest.mark.parametrize("name", ["tmaze", "terrain", "lanechange"])
+def test_backward_pass_equals_per_node_sweep_on_cold_trees(name, request):
+    sc = request.getfixturevalue(f"{name}_scenario")
+    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, max_iterations=0)
+    tree = solve(sc.model, sc.initial_state, sc.prior, config).tree
+    # Lane change fails at the initial lambda, in both sweeps.
+    lams = (REGULARIZATION_INIT, 1.0, 1e3)
+    assert _check_sweeps_against_reference(sc.model, tree, lams) >= 2
+
+
+def test_backward_pass_equals_per_node_sweep_on_a_wide_tree():
+    # Four latents over three unequal segments: levels of 1, 4 and 16 nodes.
+    model = _evidence_model(1.0)
+    lengths = (3, 2, 2)
+    u = _nominal_controls(model, lengths, np.random.default_rng(31))
+    b0 = Belief(np.array([0.1, 0.2, 0.3, 0.4]))
+    tree = forward_pass(model, np.array([0.4, -0.2]), b0, u, None, None, 1.0, lengths)
+    assert len(tree.controls) == 1 + 4 + 16
+    assert _check_sweeps_against_reference(model, tree, (1e-6, 1.0)) == 2
 
 
 def test_sweeps_over_one_linearization_equal_fresh_backward_passes(lanechange_scenario):
