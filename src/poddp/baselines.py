@@ -32,14 +32,13 @@ class ExecutablePlan:
 
     `control(t, x, b)` is the root node's control at in-segment step t plus
     the feedback K_t[:, :d.size] @ d, where d is the deviation of the
-    realized state, copied `copies` times, from the plan's nominal state,
-    followed for PODDP by the deviation of the belief's logits. t counts
-    from the start of this plan; without gains there is no feedback.
+    realized state, tiled to the nominal state's size (PWDDP's copies),
+    from the plan's nominal state, followed by the deviation of b's logits
+    when the tree is over b's latent values (PODDP). t counts from the
+    start of this plan; without gains there is no feedback.
     """
 
-    kind: PlannerKind
     result: SolveResult
-    copies: int  # state copies in the solved model: num_latents for PWDDP, else 1
 
     @property
     def converged(self) -> bool:
@@ -51,22 +50,23 @@ class ExecutablePlan:
         if ROOT not in tree.gains:
             return u
         x_nom = tree.xs[ROOT][t]
+        copies = x_nom.size // x.size
         # np.tile copies even one copy; this runs at every executed step
-        d = x - x_nom if self.copies == 1 else np.tile(x, self.copies) - x_nom
-        if self.kind is PlannerKind.PODDP:
+        d = x - x_nom if copies == 1 else np.tile(x, copies) - x_nom
+        if tree.num_latents == b.probs.size:
             d = np.concatenate([d, logits(b.probs) - tree.betas[ROOT]])
         return u + tree.gains[ROOT][1][t][:, : d.size] @ d
 
     def warm_start(self, steps: int, b: Belief) -> dict:
         """Copies of the controls the next replan starts from, after `steps`
-        executed steps and the update to belief `b`. For PODDP the subtree
-        under the most likely child becomes the new tree; a chain drops
-        its executed prefix."""
-        controls = self.result.tree.controls
-        if self.kind is PlannerKind.PODDP:
+        executed steps and the update to belief `b`. A tree's subtree under
+        the most likely child becomes the new tree; a chain drops its
+        executed prefix."""
+        tree = self.result.tree
+        if tree.num_segments > 1:
             z = b.argmax()
-            return {h[1:]: u.copy() for h, u in controls.items() if h[:1] == (z,)}
-        return {ROOT: controls[ROOT][steps:].copy()}
+            return {h[1:]: u.copy() for h, u in tree.controls.items() if h[:1] == (z,)}
+        return {ROOT: tree.controls[ROOT][steps:].copy()}
 
 
 def stacked_model(model: ProblemModel, b: Belief) -> ProblemModel:
@@ -155,13 +155,11 @@ def plan(
     """`kind`'s plan from (x0, b0). PODDP solves the contingency tree; the
     baselines solve a one-segment chain, MLDDP on the most likely latent
     value and PWDDP on the stacked model from x0 copied per latent value."""
-    copies = 1
     if kind is PlannerKind.MLDDP:
         model = condition_on_latent(model, b0.argmax())  # ties: lowest index
     elif kind is PlannerKind.PWDDP:
-        copies = model.num_latents
+        x0 = np.tile(np.asarray(x0, dtype=float), model.num_latents)
         model = stacked_model(model, b0)
-        x0 = np.tile(np.asarray(x0, dtype=float), copies)
     if kind is not PlannerKind.PODDP:
         b0, config = Belief(np.ones(1)), replace(config, segments=1)
-    return ExecutablePlan(kind, solve(model, x0, b0, config, u_init=u_init), copies)
+    return ExecutablePlan(solve(model, x0, b0, config, u_init=u_init))

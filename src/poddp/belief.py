@@ -57,9 +57,9 @@ def softmax(beta: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def floor_probs(probs: np.ndarray, floor: float = BELIEF_FLOOR) -> np.ndarray:
-    """Clamp probabilities below by `floor` and renormalize."""
-    p = np.maximum(np.asarray(probs, dtype=float), floor)
+def floor_probs(probs: np.ndarray) -> np.ndarray:
+    """Clamp probabilities below by `BELIEF_FLOOR` and renormalize."""
+    p = np.maximum(np.asarray(probs, dtype=float), BELIEF_FLOOR)
     return p / p.sum()
 
 
@@ -106,12 +106,7 @@ def log_posterior_update(log_prior: np.ndarray, log_likelihood: np.ndarray) -> n
             )
         m = joint[finite].max()
         w = np.where(finite, np.exp(np.where(finite, joint, m) - m), 0.0)
-    total = w.sum()
-    if total < 1e-300:
-        raise DegenerateEvidenceError(
-            "total unnormalized posterior mass underflowed"
-        )
-    return floor_probs(w / total)
+    return floor_probs(w / w.sum())
 
 
 def log_posterior_jacobian(joint: np.ndarray, d_joint: np.ndarray) -> np.ndarray:
@@ -131,9 +126,9 @@ def evidence(o, x_next, u, x, model):
     of one step's evidence under every latent value z, both Gaussian with
     the model's per-coordinate variances, each density evaluated once over
     the stacked latents. Returns (L, observation means, observation
-    variances, noisy, transition means, transition variances), the
-    transition moments stacked over `noisy`, the latents whose dynamics
-    noise is not ``None`` (no transition evidence without it)."""
+    variances, transition means, transition variances), the transition
+    moments ``None`` when the model has no dynamics noise (and so gives no
+    transition evidence)."""
     nz = model.num_latents
     latents = range(nz)
     obs_mean = np.array(
@@ -141,12 +136,11 @@ def evidence(o, x_next, u, x, model):
     ).reshape(nz, -1)
     obs_var = np.array([model.observation_noise(x_next, z) for z in latents], float)
     loglik = gaussian_log_density(o, obs_mean, obs_var)
-    noisy = [z for z in latents if model.dynamics_noise_for(z) is not None]
-    dyn_mean = np.array([model.dynamics_mean(x, u, z) for z in noisy], float)
-    dyn_var = np.array([model.dynamics_noise_for(z) for z in noisy], float)
-    if noisy:
-        loglik[noisy] += gaussian_log_density(x_next, dyn_mean, dyn_var)
-    return loglik, obs_mean, obs_var, noisy, dyn_mean, dyn_var
+    dyn_mean, dyn_var = None, model.dynamics_noise
+    if dyn_var is not None:
+        dyn_mean = np.array([model.dynamics_mean(x, u, z) for z in latents], float)
+        loglik += gaussian_log_density(x_next, dyn_mean, dyn_var)
+    return loglik, obs_mean, obs_var, dyn_mean, dyn_var
 
 
 def bayes_update(o, x_next, u, x, b: Belief, model) -> Belief:

@@ -172,6 +172,10 @@ def cmd_benchmark(args) -> int:
         raise CliError("duplicate planner in --planners")
     if args.sweep and args.experiment != "tmaze":
         raise CliError("--sweep is only defined for the tmaze experiment")
+    if args.n < 1:
+        raise CliError(f"--n must be at least 1, got {args.n}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     out_dir = _out_dir(args)
     header = {
         "experiment": args.experiment,

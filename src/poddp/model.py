@@ -8,7 +8,7 @@ noise models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,9 +59,9 @@ class ProblemModel:
     The latent values are the indices 0..num_latents-1.
     Noise is Gaussian with independent coordinates and is given as a vector
     of per-coordinate variances: `observation_noise(x, z)` returns shape (k,)
-    for an observation of k coordinates, and `dynamics_noise` holds one
-    entry per latent value, of shape (state_dim,) or ``None`` for
-    deterministic dynamics (no transition evidence).
+    for an observation of k coordinates, and `dynamics_noise` is either
+    ``None``, for deterministic dynamics (no transition evidence), or one
+    row of variances per latent value, shape (num_latents, state_dim).
     """
 
     state_dim: int
@@ -76,11 +76,17 @@ class ProblemModel:
     observation_jacobian: Callable  # (x, z) -> g_x
     running_cost_derivatives: Callable  # (x, u, z) -> (l_x, l_u, l_xx, l_xu, l_uu)
     final_cost_derivatives: Callable  # (x, z) -> (lf_x, lf_xx)
-    dynamics_noise: Optional[Sequence] = None  # per-z variances (n,) or None
+    dynamics_noise: Optional[np.ndarray] = None  # (num_latents, state_dim) or None
 
     def __post_init__(self):
         if self.num_latents < 1:
             raise ValueError("a model needs at least one latent value")
+        if self.dynamics_noise is not None:
+            shape = (self.num_latents, self.state_dim)
+            rows = [np.shape(row) for row in self.dynamics_noise]  # None: ()
+            if rows != [shape[1:]] * shape[0]:
+                raise ValueError(f"dynamics_noise must be None or of shape {shape}")
+            object.__setattr__(self, "dynamics_noise", read_only(self.dynamics_noise))
 
     def dynamics_noise_for(self, z: int):
         if self.dynamics_noise is None:

@@ -25,7 +25,6 @@ EXPERIMENTS = tuple(SCENARIOS)
 class Scenario:
     """A fully instantiated benchmark problem."""
 
-    name: str
     model: ProblemModel
     initial_state: np.ndarray
     prior: Belief
@@ -49,7 +48,6 @@ def build_scenario(name: str, config: Optional[dict] = None) -> Scenario:
     first = getattr(sc, sc.prior_key)  # prior probability of the first latent
     bound = np.array([sc.steer_max, sc.accel_max])
     return Scenario(
-        name=name,
         model=build(sc),
         initial_state=sc.initial_state(),
         prior=Belief(np.array([first, 1.0 - first])),

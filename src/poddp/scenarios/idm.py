@@ -17,6 +17,8 @@ import numpy as np
 
 from .vehicle import sigmoid, softplus
 
+GAP_SMOOTHNESS = 2.0  # m, scale of the leader-boundary sigmoid
+
 
 @dataclass(frozen=True)
 class IDMParams:
@@ -26,7 +28,6 @@ class IDMParams:
     comfort_decel: float  # b, m/s^2
     min_gap: float  # s0, m
     yielding: float = 1.0  # 1: slows for a leader; 0: ignores it
-    gap_smoothness: float = 2.0  # m, scale of the leader-boundary sigmoid
     yield_onset: float = 0.0  # m, gap at which the leader starts to count
     gap_floor: float = 0.5  # m, smooth floor of the gap divisor
 
@@ -45,7 +46,7 @@ def _idm_law(ego_lon, ego_v, other_lon, other_v, other_lane_overlap, p: IDMParam
     s_star = p.min_gap + other_v * p.time_headway + other_v * (other_v - ego_v) / c
     g_arg = gap - p.gap_floor
     s_eff = p.gap_floor + softplus(g_arg)
-    bsig = sigmoid((gap - p.yield_onset) / p.gap_smoothness)
+    bsig = sigmoid((gap - p.yield_onset) / GAP_SMOOTHNESS)
     w = bsig * other_lane_overlap * p.yielding
     ratio = s_star / s_eff
     free = 1.0 - (other_v / p.desired_speed) ** 4
@@ -73,7 +74,7 @@ def idm_accel_with_partials(
         ego_lon, ego_v, other_lon, other_v, other_lane_overlap, p
     )
     dseff_dgap = sigmoid(g_arg)
-    dw_dgap = bsig * (1.0 - bsig) / p.gap_smoothness * other_lane_overlap * p.yielding
+    dw_dgap = bsig * (1.0 - bsig) / GAP_SMOOTHNESS * other_lane_overlap * p.yielding
     dw_dov = bsig * p.yielding
 
     dsstar_dov_v = p.time_headway + (2.0 * other_v - ego_v) / c

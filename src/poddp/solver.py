@@ -31,6 +31,7 @@ from .tree import (
     NodeGains,
     QuadraticValueModel,
     TrajectoryTree,
+    histories_by_level,
 )
 
 
@@ -280,7 +281,7 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, z: int) -> np.ndarray:
         x_next,
     ).reshape(nz, o.size, n)
 
-    loglik, obs_mean, obs_var, noisy, dyn_mean, dyn_var = evidence(o, x_next, u, x, model)
+    loglik, obs_mean, obs_var, dyn_mean, dyn_var = evidence(o, x_next, u, x, model)
     inv_var = 1.0 / obs_var
     d_loglik = np.empty((nz, n + nu))  # d L_w / d(x, u)
     for w, a in enumerate(inv_var * (o - obs_mean)):
@@ -290,9 +291,9 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, z: int) -> np.ndarray:
             - 0.5 * (inv_var[w] @ d_var[w])
         )
         d_loglik[w] = d_next @ dx_next
-    for w, mean, var in zip(noisy, dyn_mean, dyn_var):
-        a = (x_next - mean) / var
-        d_loglik[w] -= a @ (dx_next - np.hstack(model.dynamics_jacobians(x, u, w)))
+    if dyn_var is not None:
+        for w, a in enumerate((x_next - dyn_mean) / dyn_var):
+            d_loglik[w] -= a @ (dx_next - np.hstack(model.dynamics_jacobians(x, u, w)))
 
     d_joint = np.empty((nz, ns + nu))  # d(beta + L) / d(x, beta, u)
     d_joint[:, :n] = d_loglik[:, :n]
@@ -445,8 +446,8 @@ def linearize(model: ProblemModel, tree: TrajectoryTree) -> Linearization:
     level has the same segment length, so each level is stacked here once."""
     nz = tree.num_latents
     levels = []
-    for depth, m in enumerate(tree.segment_lengths):
-        hs = tuple(h for h in tree.histories() if len(h) == depth)
+    node_levels = histories_by_level(nz, tree.num_segments)
+    for depth, (m, hs) in enumerate(zip(tree.segment_lengths, node_levels)):
         leaf = depth == tree.num_segments - 1
         m_in = m if leaf else m - 1
         costs, jacs, ends = [], [], []
@@ -457,7 +458,7 @@ def linearize(model: ProblemModel, tree: TrajectoryTree) -> Linearization:
             z_dyn = node_dynamics_latent(h, tree.beliefs[()])
             jacs.append(_insegment_jacobians(model, xs[:m_in], us[:m_in], z_dyn))
             if leaf:
-                ends.append(terminal_value_model(model, *tree.terminal_state(h)))
+                ends.append(terminal_value_model(model, xs[-1], beta))
             else:
                 x, u = xs[-1], us[-1]
                 branch = [_branch_jacobians(model, x, beta, u, z) for z in range(nz)]
@@ -527,16 +528,8 @@ class SolveResult:
 
 
 def _zero_controls(segment_lengths, num_latents, control_dim):
-    u = {}
-
-    def fill(h, depth):
-        u[h] = np.zeros((segment_lengths[depth], control_dim))
-        if depth < len(segment_lengths) - 1:
-            for z in range(num_latents):
-                fill(h + (z,), depth + 1)
-
-    fill((), 0)
-    return u
+    levels = zip(segment_lengths, histories_by_level(num_latents, len(segment_lengths)))
+    return {h: np.zeros((m, control_dim)) for m, hs in levels for h in hs}
 
 
 def solve(

@@ -10,8 +10,9 @@ quadratic value model per node.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -23,6 +24,15 @@ NodeGains = Tuple[np.ndarray, np.ndarray]
 
 def history_string(h: HistoryPath) -> str:
     return "".join(str(z) for z in h)
+
+
+def histories_by_level(num_latents: int, num_segments: int) -> list:
+    """Every node history of a tree of `num_segments` segments branching over
+    `num_latents` values: one sorted tuple per level, root first."""
+    return [
+        tuple(itertools.product(range(num_latents), repeat=depth))
+        for depth in range(num_segments)
+    ]
 
 
 @dataclass(frozen=True)
@@ -67,20 +77,11 @@ class TrajectoryTree:
     def is_leaf(self, h: HistoryPath) -> bool:
         return len(h) == self.num_segments - 1
 
-    def histories(self) -> List[HistoryPath]:
-        return sorted(self.controls.keys(), key=lambda h: (len(h), h))
-
-    def terminal_state(self, h: HistoryPath) -> Tuple[np.ndarray, np.ndarray]:
-        """Terminal (x, beta) of a leaf node."""
-        if not self.is_leaf(h):
-            raise ValueError("terminal state only exists at leaf nodes")
-        return self.xs[h][-1], self.betas[h]
-
 
 def tree_to_dict(tree: TrajectoryTree) -> dict:
     """JSON-serializable layout: nodes keyed by history string, root is ''."""
     nodes = {}
-    for h in tree.histories():
+    for h in itertools.chain(*histories_by_level(tree.num_latents, tree.num_segments)):
         key = history_string(h)
         node = {
             "controls": np.asarray(tree.controls[h]).tolist(),

@@ -134,7 +134,6 @@ def test_plan_dispatch_returns_executable(tmaze_scenario):
     config = _tmaze_config(sc, max_iterations=5)
     for kind in PlannerKind:
         p = plan(kind, sc.model, sc.initial_state, sc.prior, config)
-        assert p.kind is kind
         # a control for every step the harness runs before the next replan
         assert len(p.result.tree.controls[()]) >= config.segment_lengths()[0]
         u = p.control(0, sc.initial_state, sc.prior)

@@ -143,6 +143,16 @@ def test_sweep_rejected_outside_tmaze(tmp_path):
     assert not out.exists()  # a rejected run leaves no output directory behind
 
 
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--seed", "-1")])
+def test_bad_benchmark_count_or_seed_names_its_flag(flag, value, tmp_path, capsys):
+    out = tmp_path / "not_yet"
+    args = ["benchmark", "--experiment", "tmaze", "--planners", "mlddp", "--n", "1"]
+    rc = main(args + [flag, value, "--out", str(out)])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()  # rejected before the output directory is made
+
+
 def test_out_dir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("PODDP_OUT_DIR", str(tmp_path))
     rc = main(["solve", "--experiment", "terrain", "--planner", "mlddp"])

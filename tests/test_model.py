@@ -50,6 +50,34 @@ def test_model_needs_a_latent_value():
         dataclasses.replace(model, num_latents=0)
 
 
+@pytest.mark.parametrize(
+    "noise",
+    [
+        [np.ones(2), None],  # one latent without transition noise
+        [np.ones(2)],  # fewer rows than latent values
+        [np.ones(2)] * 3,  # more rows than latent values
+        [np.ones(3), np.ones(3)],  # rows longer than the state
+        [np.ones(1), np.ones(1)],  # rows shorter than the state
+    ],
+    ids=["none_row", "too_few_rows", "too_many_rows", "long_rows", "short_rows"],
+)
+def test_dynamics_noise_of_the_wrong_shape_is_rejected(noise):
+    model = _quadratic_model(np.eye(2), np.eye(1))
+    with pytest.raises(ValueError, match="dynamics_noise"):
+        dataclasses.replace(model, dynamics_noise=noise)
+
+
+def test_dynamics_noise_is_stored_as_one_float_array():
+    model = _quadratic_model(np.eye(2), np.eye(1))
+    v = [0.5, 2]
+    noisy = dataclasses.replace(model, dynamics_noise=[v, v])
+    assert isinstance(noisy.dynamics_noise, np.ndarray)
+    assert noisy.dynamics_noise.dtype == float
+    np.testing.assert_array_equal(noisy.dynamics_noise, [[0.5, 2.0], [0.5, 2.0]])
+    np.testing.assert_array_equal(noisy.dynamics_noise_for(1), [0.5, 2.0])
+    assert model.dynamics_noise is None and model.dynamics_noise_for(0) is None
+
+
 def test_quadratic_cost_derivatives_exact():
     # The finite-difference oracles the tests check derivatives against
     # recover a quadratic's exact derivatives.

@@ -503,9 +503,9 @@ def test_q_derivatives_match_finite_differences(name, request):
 def _evidence_model(noise_scale):
     """Four latents with everything the branch chain rule must carry:
     state-dependent observation variances that differ by latent, observation
-    means with a non-zero Jacobian, and dynamics noise that differs by latent
-    and is ``None`` for the last, so the transition evidence and its
-    normalization constant enter the posterior of only three. Small
+    means with a non-zero Jacobian, and dynamics noise that differs by
+    latent, so the transition evidence and its normalization constant
+    differ by latent. Small
     `noise_scale` makes the evidence decisive, so the posterior of the other
     latents sits at the floor."""
     centers = (-0.5, 0.2, 0.9, 1.6)
@@ -554,7 +554,7 @@ def _evidence_model(noise_scale):
             noise_scale * np.array([0.02, 0.03]),
             noise_scale * np.array([0.03, 0.02]),
             noise_scale * np.array([0.025, 0.025]),
-            None,
+            noise_scale * np.array([0.035, 0.015]),
         ],
     )
 
@@ -571,8 +571,8 @@ def _evidence_points(model, seed, count=8):
 @pytest.mark.parametrize("noise_scale", [1.0, 1e-3])
 def test_evidence_equals_per_latent_densities(noise_scale):
     # One evidence pass over every latent gives, bit for bit, the sum of one
-    # observation and one transition density per latent; the last latent
-    # has no transition noise and so no transition term.
+    # observation and one transition density per latent, each latent with
+    # its own transition variances.
     model = _evidence_model(noise_scale)
     for x, _, u in _evidence_points(model, seed=26):
         x_next = model.dynamics_mean(x, u, 1)
@@ -582,11 +582,9 @@ def test_evidence_equals_per_latent_densities(noise_scale):
             expected[z] = gaussian_log_density(
                 o, model.observation_mean(x_next, z), model.observation_noise(x_next, z)
             )
-            dyn_var = model.dynamics_noise_for(z)
-            if dyn_var is not None:
-                expected[z] += gaussian_log_density(
-                    x_next, model.dynamics_mean(x, u, z), dyn_var
-                )
+            expected[z] += gaussian_log_density(
+                x_next, model.dynamics_mean(x, u, z), model.dynamics_noise_for(z)
+            )
         assert _same_bits(evidence(o, x_next, u, x, model)[0], expected)
 
 
@@ -966,7 +964,7 @@ def _ref_tree_backward(model, tree, lam):
         k = np.empty(us.shape)
         K = np.empty(k.shape + (jacs.shape[1],))
         if tree.is_leaf(h):
-            vm = terminal_value_model(model, *tree.terminal_state(h))
+            vm = terminal_value_model(model, tree.xs[h][-1], tree.betas[h])
         else:
             children = [visit(h + (z,)) for z in range(tree.num_latents)]
             branch = [

@@ -3,12 +3,13 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poddp.belief import Belief
 from poddp.solver import SolverConfig, forward_pass, solve
-from poddp.tree import history_string, tree_to_dict
+from poddp.tree import histories_by_level, history_string, tree_to_dict
 
 from conftest import make_latent_linear_model
 
@@ -77,6 +78,18 @@ def test_forward_pass_node_counts():
             tree = _rolled_tree(nz, segments)
             expected = segments if nz == 1 else (nz ** segments - 1) // (nz - 1)
             assert len(tree.controls) == expected
+
+
+@pytest.mark.parametrize("nz", [1, 2, 4])
+@pytest.mark.parametrize("segments", [1, 2, 3])
+def test_histories_by_level_enumerates_the_rolled_nodes(nz, segments):
+    # One level per segment, each level's histories sorted: together exactly
+    # the nodes the forward pass rolls, in (length, history) order.
+    levels = histories_by_level(nz, segments)
+    assert [{len(h) for h in hs} for hs in levels] == [{d} for d in range(segments)]
+    flat = [h for hs in levels for h in hs]
+    rolled = _rolled_tree(nz, segments).controls
+    assert flat == sorted(rolled, key=lambda h: (len(h), h))
 
 
 def test_serialization_round_trip_bit_exact(tmaze_scenario):

@@ -162,6 +162,8 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=20)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: the ratios' quartiles need two pairs")
     calls = 10 if args.target in LAYERS else 1  # per sample
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
