@@ -218,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config key (repeatable)")
     common.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
-    common.add_argument("--seed", type=int, default=0, help="base seed")
 
     parser = argparse.ArgumentParser(
         prog="poddp", description="Belief-space trajectory optimization benchmarks"
@@ -235,6 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--planners", default="poddp,mlddp,pwddp",
                          help="comma-separated planner list")
     p_bench.add_argument("--n", type=int, default=100, help="episodes per planner")
+    p_bench.add_argument("--seed", type=int, default=0, help="base seed")
     p_bench.add_argument("--sweep", action="store_true",
                          help="run the 13-level observation-uncertainty sweep (tmaze)")
     p_bench.set_defaults(func=cmd_benchmark)

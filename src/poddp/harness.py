@@ -23,20 +23,11 @@ from .solver import SolverConfig
 
 
 @dataclass
-class StepRecord:
-    x: np.ndarray
-    u: np.ndarray
-    cost: float
-
-
-@dataclass
 class EpisodeTrace:
     seed: int
     planner: PlannerKind
     true_z: int
-    steps: List[StepRecord]
     final_state: np.ndarray
-    final_cost: float
     cumulative_cost: float
     replans: int
     converged: bool  # every planning solve converged
@@ -47,8 +38,7 @@ class BatchStats:
     planner: PlannerKind
     n: int
     mean: float
-    stderr: float
-    stderr_flag: bool  # True when n == 1 and the stderr is reported as 0
+    stderr: float  # 0 when n == 1
     costs: np.ndarray
     traces: List[EpisodeTrace]
 
@@ -96,7 +86,6 @@ def execute_episode(
 
     x = np.asarray(x0, dtype=float).copy()
     b = b0
-    steps: List[StepRecord] = []
     cumulative = 0.0
     replans = 0
     converged = True
@@ -128,13 +117,11 @@ def execute_episode(
         u_prev = None
         for t in range(seg_len):
             u = np.clip(current.control(t, x, b), control_low, control_high)
-            step_cost = float(model.running_cost(x, u, true_z))
-            cumulative += step_cost
+            cumulative += float(model.running_cost(x, u, true_z))
             x_prev, u_prev = x, u
             x = _sample(
                 model.dynamics_mean(x, u, true_z), model.dynamics_noise_for(true_z), proc_rng
             )
-            steps.append(StepRecord(x_prev, u, step_cost))
         if remaining_segments:
             o = _sample(
                 model.observation_mean(x, true_z), model.observation_noise(x, true_z), obs_rng
@@ -146,15 +133,12 @@ def execute_episode(
             replans += 1
             warm = current.warm_start(seg_len, b)
 
-    final_cost = float(model.final_cost(x, true_z))
-    cumulative += final_cost
+    cumulative += float(model.final_cost(x, true_z))
     return EpisodeTrace(
         seed=seed,
         planner=planner,
         true_z=true_z,
-        steps=steps,
         final_state=x,
-        final_cost=final_cost,
         cumulative_cost=cumulative,
         replans=replans,
         converged=converged,
@@ -195,16 +179,12 @@ def run_batch(
         )
     costs = np.array([tr.cumulative_cost for tr in traces])
     mean = float(np.mean(costs))
-    if n == 1:
-        stderr, flag = 0.0, True
-    else:
-        stderr, flag = float(np.std(costs, ddof=1) / math.sqrt(n)), False
+    stderr = 0.0 if n == 1 else float(np.std(costs, ddof=1) / math.sqrt(n))
     return BatchStats(
         planner=planner,
         n=n,
         mean=mean,
         stderr=stderr,
-        stderr_flag=flag,
         costs=costs,
         traces=traces,
     )
@@ -242,7 +222,7 @@ def summarize(stats: Sequence[BatchStats]) -> dict:
             "n": s.n,
             "mean": s.mean,
             "stderr": s.stderr,
-            "stderr_flag": s.stderr_flag,
+            "stderr_flag": s.n == 1,  # the stderr is reported as 0
         }
         for s in stats
     ]

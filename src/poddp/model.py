@@ -109,6 +109,8 @@ def condition_on_latent(model: ProblemModel, z: int) -> ProblemModel:
     """Restrict a model to a single latent value (|Z| = 1).
 
     Used by the maximum-likelihood baseline and by single-chain reductions.
+    A one-latent posterior is 1 whatever is observed, so the restricted model
+    observes nothing.
     """
     noise = None if model.dynamics_noise is None else (model.dynamics_noise_for(z),)
     return ProblemModel(
@@ -116,12 +118,10 @@ def condition_on_latent(model: ProblemModel, z: int) -> ProblemModel:
         control_dim=model.control_dim,
         num_latents=1,
         dynamics_mean=lambda x, u, _z, _f=model.dynamics_mean: _f(x, u, z),
-        observation_mean=lambda x, _z, _f=model.observation_mean: _f(x, z),
-        observation_noise=lambda x, _z, _f=model.observation_noise: _f(x, z),
         running_cost=lambda x, u, _z, _f=model.running_cost: _f(x, u, z),
         final_cost=lambda x, _z, _f=model.final_cost: _f(x, z),
         dynamics_jacobians=lambda x, u, _z, _f=model.dynamics_jacobians: _f(x, u, z),
-        observation_jacobian=lambda x, _z, _f=model.observation_jacobian: _f(x, z),
+        **uninformative_observations(model.state_dim),
         running_cost_derivatives=(
             lambda x, u, _z, _f=model.running_cost_derivatives: _f(x, u, z)
         ),

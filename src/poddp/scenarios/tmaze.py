@@ -63,25 +63,6 @@ def observation_variance(cfg: TMazeConfig, py: float) -> float:
     return cfg.sigma_level ** 2 * (decay + cfg.obs_var_floor_frac)
 
 
-def _wall_profile(cfg: TMazeConfig, px: float):
-    """Smooth squared-softplus wall penalty profile in px: (P, P', P'')."""
-    s = cfg.wall_sharpness
-    hw = cfg.corridor_half_width
-    val = 0.0
-    d1 = 0.0
-    d2 = 0.0
-    for sign in (1.0, -1.0):
-        a = s * (sign * px - hw)
-        f = softplus(a)
-        sig = sigmoid(a)
-        fp = sign * s * sig
-        fpp = s * s * sig * (1.0 - sig)
-        val += f * f
-        d1 += 2.0 * f * fp
-        d2 += 2.0 * (fp * fp + f * fpp)
-    return val, d1, d2
-
-
 def _wall_value(cfg: TMazeConfig, px: float, py: float) -> float:
     """The wall penalty, whose derivatives `_wall_derivatives` gives."""
     s = cfg.wall_sharpness
@@ -92,20 +73,28 @@ def _wall_value(cfg: TMazeConfig, px: float, py: float) -> float:
     return cfg.wall_weight * gate * (f_pos * f_pos + f_neg * f_neg)
 
 
-def _wall_gate(cfg: TMazeConfig, py: float):
-    """Wall activation in py: 1 inside the corridor, fading at the opening."""
-    t = (cfg.corridor_open_y - py) / cfg.gate_width
-    g = sigmoid(t)
-    gp = -g * (1.0 - g) / cfg.gate_width
-    gpp = g * (1.0 - g) * (1.0 - 2.0 * g) / cfg.gate_width ** 2
-    return g, gp, gpp
-
-
 def _wall_derivatives(cfg: TMazeConfig, px: float, py: float):
     """Gradient (d/dpx, d/dpy) and Hessian entries (pxpx, pxpy, pypy) of the
-    wall penalty."""
-    p, p1, p2 = _wall_profile(cfg, px)
-    g, g1, g2 = _wall_gate(cfg, py)
+    wall penalty: the gate g(py), 1 inside the corridor and fading at the
+    opening, times the squared-softplus profile p(px)."""
+    s = cfg.wall_sharpness
+    hw = cfg.corridor_half_width
+    p = 0.0
+    p1 = 0.0
+    p2 = 0.0
+    for sign in (1.0, -1.0):
+        a = s * (sign * px - hw)
+        f = softplus(a)
+        sig = sigmoid(a)
+        fp = sign * s * sig
+        fpp = s * s * sig * (1.0 - sig)
+        p += f * f
+        p1 += 2.0 * f * fp
+        p2 += 2.0 * (fp * fp + f * fpp)
+    t = (cfg.corridor_open_y - py) / cfg.gate_width
+    g = sigmoid(t)
+    g1 = -g * (1.0 - g) / cfg.gate_width
+    g2 = g * (1.0 - g) * (1.0 - 2.0 * g) / cfg.gate_width ** 2
     w = cfg.wall_weight
     return (w * g * p1, w * g1 * p), (w * g * p2, w * g1 * p1, w * g2 * p)
 

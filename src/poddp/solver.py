@@ -52,6 +52,8 @@ REGULARIZATION_INIT = 1e-6
 REGULARIZATION_FACTOR = 10.0
 REGULARIZATION_MIN = 1e-9
 REGULARIZATION_MAX = 1e10
+# A control update whose max |k| is below this is stationary.
+GRADIENT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,6 @@ class SolverConfig:
     segments: int = 1  # the horizon splits into this many near-equal segments
     max_iterations: int = 100
     cost_tolerance: float = 1e-7  # relative improvement threshold
-    gradient_tolerance: float = 1e-9  # max |k| declaring stationarity
 
     def segment_lengths(self) -> Tuple[int, ...]:
         if not (1 <= self.segments <= self.horizon):
@@ -542,7 +543,7 @@ def solve(
     """Iterate forward and backward passes with backtracking line search.
 
     Terminates on relative cost improvement below `cost_tolerance`, a
-    stationary control update (max |k| below `gradient_tolerance`),
+    stationary control update (max |k| below `GRADIENT_TOLERANCE`),
     `max_iterations`, or an exhausted line search at the regularization cap;
     the last two return the best tree so far with `converged=False`. The
     returned tree carries the gains and value models of a backward pass on
@@ -575,7 +576,7 @@ def solve(
             break
         it += 1
         grad_norm = max(float(np.max(np.abs(k))) for k, _ in gains.values())
-        if grad_norm < config.gradient_tolerance:
+        if grad_norm < GRADIENT_TOLERANCE:
             log.append(_log_row(it, cost, 0.0, lam, grad_norm))
             converged = True
             break

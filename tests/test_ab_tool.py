@@ -1,10 +1,22 @@
-"""The A/B timing tool's argument checks."""
+"""The A/B timing tool's argument checks and targets."""
 
+import importlib.util
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 AB = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+
+
+def _load_ab():
+    spec = importlib.util.spec_from_file_location("ab", AB)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    return ab
 
 
 def test_one_pair_is_rejected_before_any_work():
@@ -16,3 +28,29 @@ def test_one_pair_is_rejected_before_any_work():
     )
     assert proc.returncode == 2
     assert "--pairs" in proc.stderr
+
+
+@pytest.mark.parametrize("base, outside", [("no-such-revision", False), ("HEAD", True)],
+                         ids=["unresolvable_revision", "outside_a_checkout"])
+def test_a_base_git_cannot_resolve_is_rejected_before_any_work(base, outside, tmp_path):
+    tool = AB
+    if outside:  # a copy of the tool in a directory no git checkout contains
+        (tmp_path / "tools").mkdir()
+        tool = shutil.copy(AB, tmp_path / "tools" / "ab.py")
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(tmp_path.parent))
+    proc = subprocess.run(
+        [sys.executable, str(tool), "solve", "--base", base, "--pairs", "2"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 2
+    assert "--base" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_every_target_runs_on_the_working_tree():
+    # Each layer and job builds its inputs from the package's own names, so
+    # a rename the tool misses fails here rather than at timing time.
+    ab = _load_ab()
+    for target in ab.LAYERS + ab.JOBS:
+        side = ab.Side("poddp", "terrain", target)
+        assert ab.canonical(side.result()) is not None, target

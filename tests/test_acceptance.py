@@ -111,7 +111,7 @@ def test_criterion_02_plain_ddp_reduction():
     model_z = condition_on_latent(sc.model, terrain.SMOOTH)
     config = SolverConfig(
         horizon=sc.horizon, segments=1, max_iterations=300,
-        cost_tolerance=1e-14, gradient_tolerance=1e-10,
+        cost_tolerance=1e-14,
     )
     result = _register(
         solve(model_z, sc.initial_state, Belief(np.ones(1)), config), "terrain |Z|=1"

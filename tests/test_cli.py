@@ -153,6 +153,17 @@ def test_bad_benchmark_count_or_seed_names_its_flag(flag, value, tmp_path, capsy
     assert not out.exists()  # rejected before the output directory is made
 
 
+def test_solve_rejects_the_benchmark_seed(tmp_path, capsys):
+    # A solve draws no random numbers; the seed is a benchmark flag.
+    out = tmp_path / "not_yet"
+    args = ["solve", "--experiment", "terrain", "--planner", "mlddp", "--seed", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_dir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("PODDP_OUT_DIR", str(tmp_path))
     rc = main(["solve", "--experiment", "terrain", "--planner", "mlddp"])

@@ -379,7 +379,6 @@ def test_single_latent_solve_matches_reference_ddp(terrain_scenario):
         segments=1,
         max_iterations=300,
         cost_tolerance=1e-14,
-        gradient_tolerance=1e-10,
     )
     result = solve(model_z, x0, Belief(np.ones(1)), config)
     _, us_ref, cost_ref, _ = ref_ddp_solve(

@@ -164,6 +164,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2: the ratios' quartiles need two pairs")
+    resolved = subprocess.run(
+        ["git", "rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}"],
+        cwd=ROOT, capture_output=True,
+    )
+    if resolved.returncode != 0:
+        parser.error(f"--base {args.base!r} is not a commit of a git checkout at {ROOT}")
     calls = 10 if args.target in LAYERS else 1  # per sample
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
