@@ -121,14 +121,14 @@ def log_posterior_jacobian(joint: np.ndarray, d_joint: np.ndarray) -> np.ndarray
     return active[:, None] * d_log_post - ((active * post) @ d_log_post) / total
 
 
-def evidence(o, x_next, u, x, model):
-    """Log-likelihood L(z) = log p(o | x_next, z) + log p(x_next | x, u, z)
+def evidence(o, x_next, means, model):
+    """Log-likelihood L(z) = log p(o | x_next, z) + log p(x_next | means[z], z)
     of one step's evidence under every latent value z, both Gaussian with
     the model's per-coordinate variances, each density evaluated once over
-    the stacked latents. Returns (L, observation means, observation
-    variances, transition means, transition variances), the transition
-    moments ``None`` when the model has no dynamics noise (and so gives no
-    transition evidence)."""
+    the stacked latents. `means` holds the transition means, row z
+    f(x, u, z); the model's dynamics noise is their variances, and without
+    it there is no transition evidence. Returns (L, observation means,
+    observation variances)."""
     nz = model.num_latents
     latents = range(nz)
     obs_mean = np.array(
@@ -136,17 +136,16 @@ def evidence(o, x_next, u, x, model):
     ).reshape(nz, -1)
     obs_var = np.array([model.observation_noise(x_next, z) for z in latents], float)
     loglik = gaussian_log_density(o, obs_mean, obs_var)
-    dyn_mean, dyn_var = None, model.dynamics_noise
-    if dyn_var is not None:
-        dyn_mean = np.array([model.dynamics_mean(x, u, z) for z in latents], float)
-        loglik += gaussian_log_density(x_next, dyn_mean, dyn_var)
-    return loglik, obs_mean, obs_var, dyn_mean, dyn_var
+    if model.dynamics_noise is not None:
+        loglik += gaussian_log_density(x_next, means, model.dynamics_noise)
+    return loglik, obs_mean, obs_var
 
 
-def bayes_update(o, x_next, u, x, b: Belief, model) -> Belief:
+def bayes_update(o, x_next, means, b: Belief, model) -> Belief:
     """One recursive Bayes step over the latent hypotheses: the posterior
-    is proportional to b(z) exp(L(z)), L the log-likelihood of `evidence`."""
+    is proportional to b(z) exp(L(z)), L the log-likelihood of `evidence`
+    with transition means `means`."""
     with np.errstate(divide="ignore"):
         log_prior = np.log(b.probs)
-    loglik = evidence(o, x_next, u, x, model)[0]
+    loglik = evidence(o, x_next, means, model)[0]
     return Belief(log_posterior_update(log_prior, loglik))

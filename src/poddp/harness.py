@@ -113,8 +113,6 @@ def execute_episode(
             cache[cache_key] = current
         converged = converged and current.converged
         seg_len = remaining_segments.pop(0)
-        x_prev = None
-        u_prev = None
         for t in range(seg_len):
             u = np.clip(current.control(t, x, b), control_low, control_high)
             cumulative += float(model.running_cost(x, u, true_z))
@@ -126,8 +124,11 @@ def execute_episode(
             o = _sample(
                 model.observation_mean(x, true_z), model.observation_noise(x, true_z), obs_rng
             )
+            # Predict: every latent's transition mean from the last step.
+            latents = range(model.num_latents)
+            means = np.array([model.dynamics_mean(x_prev, u_prev, z) for z in latents], float)
             try:
-                b = bayes_update(o, x, u_prev, x_prev, b, model)
+                b = bayes_update(o, x, means, b, model)
             except DegenerateEvidenceError:
                 pass  # keep the prior belief when no hypothesis explains the data
             replans += 1

@@ -138,11 +138,11 @@ def forward_pass(
                 _check_finite(x, "state")
             else:
                 # Branch step: one maximum-likelihood outcome per latent value.
-                for z in range(nz):
-                    x_next = np.asarray(model.dynamics_mean(x, u, z), dtype=float)
-                    _check_finite(x_next, "state")
+                succ = np.array([model.dynamics_mean(x, u, z) for z in range(nz)], float)
+                _check_finite(succ.ravel(), "state")
+                for z, x_next in enumerate(succ):
                     o_next = model.observation_mean(x_next, z)
-                    b_next = bayes_update(o_next, x_next, u, x, b, model)
+                    b_next = bayes_update(o_next, x_next, succ, b, model)
                     roll(h + (z,), x_next, np.log(b_next.probs), b_next)
         if leaf:
             xs.append(x)
@@ -259,52 +259,50 @@ def _insegment_jacobians(model: ProblemModel, xs, us, z: int) -> np.ndarray:
     return jacs
 
 
-def _branch_jacobians(model: ProblemModel, x, beta, u, z: int) -> np.ndarray:
-    """Jacobian d s'_z / d(x, beta, u) of the successor s'_z = (x'_z, beta'_z)
-    of branch z, by the chain rule through dynamics, observation and Bayes
-    update.
+def _branch_jacobians(model: ProblemModel, x, beta, u, succ) -> np.ndarray:
+    """Jacobians d s'_z / d(x, beta, u), stacked over z, of every branch's
+    successor s'_z = (x'_z, beta'_z), by the chain rule through dynamics,
+    observation and Bayes update.
 
-    x'_z = f(x, u, z) is observed as o_z = h(x'_z, z), and
+    Row z of `succ` is x'_z = f(x, u, z), observed as o_z = h(x'_z, z), and
     beta'_z = log floor(softmax(beta + L)), where L is the log-likelihood
-    of (o_z, x'_z), as in `bayes_update`; every latent's residuals and
-    variances come from that one `evidence` pass. No callback gives the
-    derivative of the observation variances, so it is differenced.
+    of (o_z, x'_z) with transition means `succ`, as in `bayes_update`. No
+    callback gives the derivative of the observation variances, so it is
+    differenced.
     """
     n, nz, nu = model.state_dim, model.num_latents, model.control_dim
     ns = n + nz
-    x_next = np.asarray(model.dynamics_mean(x, u, z), dtype=float)
-    f_x, f_u = model.dynamics_jacobians(x, u, z)
-    dx_next = np.hstack([f_x, f_u])  # d x'_z / d(x, u)
-    o = np.atleast_1d(np.asarray(model.observation_mean(x_next, z), dtype=float))
-    h_z = model.observation_jacobian(x_next, z)
-    d_var = numerical_jacobian(
-        lambda xn: np.concatenate([model.observation_noise(xn, w) for w in range(nz)]),
-        x_next,
-    ).reshape(nz, o.size, n)
+    d_succ = np.array([np.hstack(model.dynamics_jacobians(x, u, z)) for z in range(nz)])
+    jacs = np.zeros((nz, ns, ns + nu))
+    jacs[:, :n, :n], jacs[:, :n, ns:] = d_succ[..., :n], d_succ[..., n:]
+    for z, x_next in enumerate(succ):
+        o = np.atleast_1d(np.asarray(model.observation_mean(x_next, z), dtype=float))
+        h_z = model.observation_jacobian(x_next, z)
+        d_var = numerical_jacobian(
+            lambda xn: np.concatenate([model.observation_noise(xn, w) for w in range(nz)]),
+            x_next,
+        ).reshape(nz, o.size, n)
 
-    loglik, obs_mean, obs_var, dyn_mean, dyn_var = evidence(o, x_next, u, x, model)
-    inv_var = 1.0 / obs_var
-    d_loglik = np.empty((nz, n + nu))  # d L_w / d(x, u)
-    for w, a in enumerate(inv_var * (o - obs_mean)):
-        d_next = (
-            -a @ (h_z - model.observation_jacobian(x_next, w))
-            + 0.5 * np.einsum("i,ic,i->c", a, d_var[w], a)
-            - 0.5 * (inv_var[w] @ d_var[w])
-        )
-        d_loglik[w] = d_next @ dx_next
-    if dyn_var is not None:
-        for w, a in enumerate((x_next - dyn_mean) / dyn_var):
-            d_loglik[w] -= a @ (dx_next - np.hstack(model.dynamics_jacobians(x, u, w)))
+        loglik, obs_mean, obs_var = evidence(o, x_next, succ, model)
+        inv_var = 1.0 / obs_var
+        d_loglik = np.empty((nz, n + nu))  # d L_w / d(x, u)
+        for w, a in enumerate(inv_var * (o - obs_mean)):
+            d_next = (
+                -a @ (h_z - model.observation_jacobian(x_next, w))
+                + 0.5 * np.einsum("i,ic,i->c", a, d_var[w], a)
+                - 0.5 * (inv_var[w] @ d_var[w])
+            )
+            d_loglik[w] = d_next @ d_succ[z]
+        if model.dynamics_noise is not None:
+            for w, a in enumerate((x_next - succ) / model.dynamics_noise):
+                d_loglik[w] -= a @ (d_succ[z] - d_succ[w])
 
-    d_joint = np.empty((nz, ns + nu))  # d(beta + L) / d(x, beta, u)
-    d_joint[:, :n] = d_loglik[:, :n]
-    d_joint[:, n:ns] = np.eye(nz)
-    d_joint[:, ns:] = d_loglik[:, n:]
-    jac = np.zeros((ns, ns + nu))
-    jac[:n, :n] = f_x
-    jac[:n, ns:] = f_u
-    jac[n:] = log_posterior_jacobian(beta + loglik, d_joint)
-    return jac
+        d_joint = np.empty((nz, ns + nu))  # d(beta + L) / d(x, beta, u)
+        d_joint[:, :n] = d_loglik[:, :n]
+        d_joint[:, n:ns] = np.eye(nz)
+        d_joint[:, ns:] = d_loglik[:, n:]
+        jacs[z, n:] = log_posterior_jacobian(beta + loglik, d_joint)
+    return jacs
 
 
 def _expected_q(cost, beta, jacs, value_models):
@@ -422,29 +420,21 @@ class LevelLinearization:
     """What the backward pass reads of one tree level, none of which
     depends on lambda: the in-segment steps' `_cost_expansion` and
     Jacobians, stacked by `_stack` (steps, then nodes in `histories` order),
-    and either each node's branch-step `_cost_expansion` and per-latent
-    Jacobians (`branch_steps`) or the leaves' terminal value models."""
+    and either each node's branch-step `_cost_expansion`, logits and
+    `_branch_jacobians` (`branch_steps`) or the leaves' terminal value models."""
 
     histories: Tuple[HistoryPath, ...]
     cost: Tuple[np.ndarray, np.ndarray, np.ndarray]
     insegment_jacobians: np.ndarray
-    branch_steps: Optional[List[Tuple[tuple, List[np.ndarray]]]] = None
+    branch_steps: Optional[List[Tuple[tuple, np.ndarray, np.ndarray]]] = None
     terminal: Optional[QuadraticValueModel] = None
 
 
-@dataclass(frozen=True)
-class Linearization:
-    """The local model of a nominal tree, formed once by `linearize` and
-    swept by `backward_pass` at any lambda, one entry per level, root first."""
-
-    tree: TrajectoryTree
-    levels: Tuple[LevelLinearization, ...]
-
-
-def linearize(model: ProblemModel, tree: TrajectoryTree) -> Linearization:
-    """Expand every node of `tree`: running costs, in-segment dynamics, and
-    the branch step's successors or the leaf's final cost. Every node of a
-    level has the same segment length, so each level is stacked here once."""
+def linearize(model: ProblemModel, tree: TrajectoryTree) -> Tuple[LevelLinearization, ...]:
+    """Expand every node of `tree` for `backward_pass` to sweep at any lambda:
+    running costs, in-segment dynamics, and the branch step's successors or
+    the leaf's final cost. Every node of a level has the same segment length,
+    so each level is stacked here once; one entry per level, root first."""
     nz = tree.num_latents
     levels = []
     node_levels = histories_by_level(nz, tree.num_segments)
@@ -461,9 +451,9 @@ def linearize(model: ProblemModel, tree: TrajectoryTree) -> Linearization:
             if leaf:
                 ends.append(terminal_value_model(model, xs[-1], beta))
             else:
-                x, u = xs[-1], us[-1]
-                branch = [_branch_jacobians(model, x, beta, u, z) for z in range(nz)]
-                ends.append((tuple(c[-1] for c in cost), branch))
+                succ = np.array([tree.xs[h + (z,)][0] for z in range(nz)])
+                branch = _branch_jacobians(model, xs[-1], beta, us[-1], succ)
+                ends.append((tuple(c[-1] for c in cost), beta, branch))
         levels.append(
             LevelLinearization(
                 hs,
@@ -473,14 +463,14 @@ def linearize(model: ProblemModel, tree: TrajectoryTree) -> Linearization:
                 terminal=_stack_value_models(ends) if leaf else None,
             )
         )
-    return Linearization(tree, tuple(levels))
+    return tuple(levels)
 
 
 def backward_pass(
-    linearization: Linearization,
+    levels: Sequence[LevelLinearization],
     lam: float,
 ) -> Tuple[Dict[HistoryPath, NodeGains], Dict[HistoryPath, QuadraticValueModel]]:
-    """Dynamic programming over a linearized tree, deepest level first.
+    """Dynamic programming over a tree's `linearize` levels, deepest first.
 
     At a level above the leaves, each node's branch step combines its
     children's value models through the belief-weighted expansion; then the
@@ -489,23 +479,23 @@ def backward_pass(
     cannot be made positive definite at the given regularization (the
     caller raises lambda and sweeps again over the same linearization).
     """
-    tree = linearization.tree
-    nz = tree.num_latents
-    reg = lam * np.eye(tree.controls[()].shape[1])
+    ns, width = levels[0].insegment_jacobians.shape[-2:]
+    reg = lam * np.eye(width - ns)
     gains: Dict[HistoryPath, NodeGains] = {}
     value_models: Dict[HistoryPath, QuadraticValueModel] = {}
-    for level in reversed(linearization.levels):
+    for level in reversed(levels):
         hs, (c0, c, big_c) = level.histories, level.cost
         jacs = level.insegment_jacobians
-        # Gains (m, [nodes,] nu) and (m, [nodes,] nu, n + nz), laid out as `_stack`.
-        m = tree.segment_lengths[len(hs[0])]
-        k = np.empty((m,) + jacs.shape[1:-2] + reg.shape[:1])
-        K = np.empty(k.shape + jacs.shape[-2:-1])
         vm = level.terminal
+        # Gains (m, [nodes,] nu) and (m, [nodes,] nu, n + nz), laid out as `_stack`:
+        # a branch step follows the in-segment steps.
+        m = jacs.shape[0] + (vm is None)
+        k = np.empty((m,) + jacs.shape[1:-2] + reg.shape[:1])
+        K = np.empty(k.shape + (ns,))
         if vm is None:
             steps = (
-                (cost, tree.betas[h], b_jacs, [value_models[h + (z,)] for z in range(nz)])
-                for h, (cost, b_jacs) in zip(hs, level.branch_steps)
+                (cost, beta, b_jacs, [value_models[h + (z,)] for z in range(len(b_jacs))])
+                for h, (cost, beta, b_jacs) in zip(hs, level.branch_steps)
             )
             k_b, K_b, vms = zip(*(optimize_control(*step, reg) for step in steps))
             k[-1], K[-1], vm = _stack(k_b), _stack(K_b), _stack_value_models(vms)

@@ -30,6 +30,19 @@ def test_one_pair_is_rejected_before_any_work():
     assert "--pairs" in proc.stderr
 
 
+def test_an_unknown_workload_is_rejected_before_any_work():
+    # The working tree's experiment names are the valid workloads; another
+    # is refused before a core is pinned or the base revision is exported.
+    proc = subprocess.run(
+        [sys.executable, str(AB), "solve", "--workload", "nosuch", "--pairs", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "--workload" in proc.stderr and "lanechange" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("base, outside", [("no-such-revision", False), ("HEAD", True)],
                          ids=["unresolvable_revision", "outside_a_checkout"])
 def test_a_base_git_cannot_resolve_is_rejected_before_any_work(base, outside, tmp_path):

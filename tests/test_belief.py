@@ -100,7 +100,7 @@ def test_bayes_uniform_evidence_returns_prior():
     model = _stub_model([0.0, 0.0, 0.0])
     prior = Belief(np.array([0.2, 0.5, 0.3]))
     post = bayes_update(
-        np.array([0.4]), np.zeros(1), np.zeros(1), np.zeros(1), prior, model
+        np.array([0.4]), np.zeros(1), np.zeros((model.num_latents, 1)), prior, model
     )
     np.testing.assert_allclose(post.probs, prior.probs, atol=1e-12)
 
@@ -110,7 +110,7 @@ def test_bayes_zero_likelihood_hypothesis_floored():
     model = _stub_model([0.0, 1e6], obs_vars=[np.ones(1), np.ones(1) * 1e-6])
     prior = Belief(np.array([0.5, 0.5]))
     post = bayes_update(
-        np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), prior, model
+        np.zeros(1), np.zeros(1), np.zeros((model.num_latents, 1)), prior, model
     )
     assert post.probs[1] <= 2 * BELIEF_FLOOR
     assert post.probs[0] >= 1.0 - 2 * BELIEF_FLOOR
@@ -120,7 +120,7 @@ def test_bayes_two_hypothesis_gaussian_oracle():
     model = _stub_model([-1.0, 1.0])
     prior = Belief(np.array([0.5, 0.5]))
     post = bayes_update(
-        np.array([-1.0]), np.zeros(1), np.zeros(1), np.zeros(1), prior, model
+        np.array([-1.0]), np.zeros(1), np.zeros((model.num_latents, 1)), prior, model
     )
     np.testing.assert_allclose(
         post.probs, [POSTERIOR_MATCHING, 1.0 - POSTERIOR_MATCHING], atol=1e-10
@@ -156,7 +156,7 @@ def test_bayes_output_sums_to_one(beta):
     model = _stub_model(list(np.linspace(-1, 1, beta.size)), nz=beta.size)
     prior = Belief(softmax(beta))
     post = bayes_update(
-        np.array([0.2]), np.zeros(1), np.zeros(1), np.zeros(1), prior, model
+        np.array([0.2]), np.zeros(1), np.zeros((model.num_latents, 1)), prior, model
     )
     assert abs(post.probs.sum() - 1.0) < 1e-12
 
@@ -167,10 +167,10 @@ def test_bayes_permutation_equivariant():
     o = np.array([0.3])
     perm = [2, 0, 1]
     model = _stub_model(means)
-    post = bayes_update(o, np.zeros(1), np.zeros(1), np.zeros(1), Belief(prior), model)
+    post = bayes_update(o, np.zeros(1), np.zeros((3, 1)), Belief(prior), model)
     model_p = _stub_model([means[i] for i in perm])
     post_p = bayes_update(
-        o, np.zeros(1), np.zeros(1), np.zeros(1), Belief(prior[perm]), model_p
+        o, np.zeros(1), np.zeros((3, 1)), Belief(prior[perm]), model_p
     )
     np.testing.assert_allclose(post_p.probs, post.probs[perm], atol=1e-12)
 

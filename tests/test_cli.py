@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import poddp
+import poddp.cli
 from poddp.baselines import PlannerKind
 from poddp.cli import main, write_episodes_csv
 from poddp.harness import run_batch
@@ -27,6 +28,16 @@ def test_solve_tmaze_default_seven_node_tree(tmp_path, capsys):
     assert len(payload["tree"]["nodes"]) == 7
     assert payload["config_hash"]
     assert payload["config"]  # run is reconstructible from its outputs
+
+
+def test_solve_unconverged_exits_2_and_says_so(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(poddp.cli, "SOLVE_BUDGET", {"max_iterations": 1, "cost_tolerance": 0.0})
+    rc = main(["solve", "--experiment", "tmaze", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "did not converge" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "solve_tmaze_poddp.json").read_text())
+    assert payload["converged"] is False
+    assert len(payload["iterations"]) == 1
 
 
 def test_solve_unknown_experiment_lists_valid_names(tmp_path, capsys):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from poddp.baselines import ExecutablePlan, PlannerKind
-from poddp.belief import Belief
+from poddp.baselines import ExecutablePlan, PlannerKind, plan
+from poddp.belief import Belief, DegenerateEvidenceError
 from poddp.harness import (
     episode_streams,
     execute_episode,
@@ -86,6 +86,33 @@ def test_plan_cache_keys_on_the_warm_start(monkeypatch):
     assert len(planned) == 2 * sc.segments - 1
 
 
+def test_degenerate_evidence_replans_from_the_prior(monkeypatch):
+    # An observation no hypothesis explains leaves the belief as it was: the
+    # episode goes on, and every replan starts from the prior.
+    from poddp import harness
+
+    def degenerate(*args):
+        raise DegenerateEvidenceError("zero likelihood under every latent")
+
+    beliefs = []
+
+    def recording_plan(kind, model, x, b, config, u_init=None):
+        beliefs.append(b)
+        return plan(kind, model, x, b, config, u_init=u_init)
+
+    monkeypatch.setattr(harness, "bayes_update", degenerate)
+    monkeypatch.setattr(harness, "plan", recording_plan)
+    prior = Belief(np.array([0.3, 0.7]))
+    config = SolverConfig(horizon=6, segments=3, max_iterations=5)
+    trace = execute_episode(
+        PlannerKind.PODDP, make_latent_linear_model(2), np.zeros(2), prior, 0, 0, config,
+        -np.ones(1), np.ones(1),
+    )
+    assert trace.replans == 2
+    assert np.isfinite(trace.cumulative_cost)
+    assert len(beliefs) == 3 and all(b is prior for b in beliefs)
+
+
 def test_replans_split_the_rest_of_the_first_schedule(monkeypatch):
     # A replan splits the remaining horizon equally into the remaining
     # segments. That split is the tail of the first plan's schedule, so the
@@ -106,7 +133,7 @@ def test_replans_split_the_rest_of_the_first_schedule(monkeypatch):
         )
 
     monkeypatch.setattr(harness, "plan", stub_plan)
-    monkeypatch.setattr(harness, "bayes_update", lambda *args: args[4])  # keep b
+    monkeypatch.setattr(harness, "bayes_update", lambda *args: args[3])  # keep b
     prior = Belief(np.array([0.5, 0.5]))
     for horizon in range(1, 61):
         for segments in range(1, horizon + 1):

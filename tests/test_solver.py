@@ -124,10 +124,10 @@ def test_forward_pass_branch_beliefs_replay_bayes(tmaze_scenario):
         u_last = tree.controls[h][-1]
         b_parent = Belief(tree.beliefs[h])
         s_last = np.concatenate([x_last, tree.betas[h]])
-        for z in range(tree.num_latents):
-            x_next = np.asarray(model.dynamics_mean(x_last, u_last, z), float)
+        means = _successors(model, x_last, u_last)
+        for z, x_next in enumerate(means):
             o_next = model.observation_mean(x_next, z)
-            b_child = bayes_update(o_next, x_next, u_last, x_last, b_parent, model)
+            b_child = bayes_update(o_next, x_next, means, b_parent, model)
             np.testing.assert_allclose(
                 tree.beliefs[h + (z,)], b_child.probs, atol=1e-12
             )
@@ -252,7 +252,7 @@ def _branches(model, x, beta, u):
     s_vec = np.concatenate([x, beta])
     latents = range(model.num_latents)
     succs = [_branch_chain(model, z)(s_vec, u) for z in latents]
-    return succs, [_branch_jacobians(model, x, beta, u, z) for z in latents]
+    return succs, _branch_jacobians(model, x, beta, u, _successors(model, x, u))
 
 
 def _terminal_children(model, succs):
@@ -409,6 +409,11 @@ def test_monotone_improvement_on_accepted_iterations(tmaze_scenario):
 # Q-derivative finite-difference checks
 
 
+def _successors(model, x, u):
+    """Every latent's successor f(x, u, z), one row per latent."""
+    return np.array([model.dynamics_mean(x, u, z) for z in range(model.num_latents)], float)
+
+
 def _branch_chain(model, z):
     """Finite-difference oracle of a branch: the successor s' = (x', log b')
     through dynamics, observation and `bayes_update`, for latent branch z."""
@@ -417,9 +422,10 @@ def _branch_chain(model, z):
     def chain(s, u):
         x, beta = s[:n], s[n:]
         b = Belief(softmax(beta))
-        x_next = np.asarray(model.dynamics_mean(x, u, z), dtype=float)
+        means = _successors(model, x, u)
+        x_next = means[z]
         o_next = model.observation_mean(x_next, z)
-        b_next = bayes_update(o_next, x_next, u, x, b, model)
+        b_next = bayes_update(o_next, x_next, means, b, model)
         return np.concatenate([x_next, np.log(b_next.probs)])
 
     return chain
@@ -441,7 +447,7 @@ def _q_ingredients(model, s_vec, u, child_vms):
         else terminal_value_model(model, succ_bars[z][:n], succ_bars[z][n:])
         for z in range(nz)
     ]
-    jacs = [_branch_jacobians(model, x, beta, u, z) for z in range(nz)]
+    jacs = _branch_jacobians(model, x, beta, u, _successors(model, x, u))
     _, q, _, _ = _expected_q(_step_cost(model, x, beta, u), beta, jacs, vms)
 
     def q_num(sv, uv):
@@ -584,13 +590,13 @@ def test_evidence_equals_per_latent_densities(noise_scale):
             expected[z] += gaussian_log_density(
                 x_next, model.dynamics_mean(x, u, z), model.dynamics_noise_for(z)
             )
-        assert _same_bits(evidence(o, x_next, u, x, model)[0], expected)
+        assert _same_bits(evidence(o, x_next, _successors(model, x, u), model)[0], expected)
 
 
 def _check_branch_jacobians(model, x, beta, u):
     s_vec = np.concatenate([x, beta])
-    for z in range(model.num_latents):
-        jac = _branch_jacobians(model, x, beta, u, z)
+    jacs = _branch_jacobians(model, x, beta, u, _successors(model, x, u))
+    for z, jac in enumerate(jacs):
         chain = _branch_chain(model, z)
         fd = np.hstack(
             [
@@ -966,10 +972,8 @@ def _ref_tree_backward(model, tree, lam):
             vm = terminal_value_model(model, tree.xs[h][-1], tree.betas[h])
         else:
             children = [visit(h + (z,)) for z in range(tree.num_latents)]
-            branch = [
-                _branch_jacobians(model, xs[-1], beta, us[-1], z)
-                for z in range(tree.num_latents)
-            ]
+            succ = _successors(model, xs[-1], us[-1])
+            branch = _branch_jacobians(model, xs[-1], beta, us[-1], succ)
             j = m - 1
             cost = (levels[j], grads[j], hessians[j])
             q_terms = _expected_q(cost, beta, branch, children)

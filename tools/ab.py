@@ -170,13 +170,18 @@ def main(argv=None) -> int:
     )
     if resolved.returncode != 0:
         parser.error(f"--base {args.base!r} is not a commit of a git checkout at {ROOT}")
+    sys.path.insert(0, str(ROOT / "src"))
+    from poddp.scenarios import EXPERIMENTS
+
+    if args.workload not in EXPERIMENTS:
+        parser.error(f"--workload {args.workload!r} is not one of: {', '.join(EXPERIMENTS)}")
     calls = 10 if args.target in LAYERS else 1  # per sample
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
 
     with tempfile.TemporaryDirectory() as tmp:
         export_base(args.base, Path(tmp))
-        sys.path[:0] = [str(ROOT / "src"), tmp]
+        sys.path.append(tmp)
         sides = {
             "base": Side(BASE_PACKAGE, args.workload, args.target),
             "new": Side("poddp", args.workload, args.target),
