@@ -144,6 +144,16 @@ def stacked_model(model: ProblemModel, b: Belief) -> ProblemModel:
     )
 
 
+def planning_belief(kind: PlannerKind, b: Belief) -> Belief:
+    """What `kind`'s plan reads of belief `b`, as a belief: all of `b` for
+    PODDP and PWDDP, which weigh every probability, and for MLDDP all mass
+    on `b`'s most likely value (ties: lowest index), the one value it plans
+    on. Beliefs with equal planning beliefs give equal plans."""
+    if kind is PlannerKind.MLDDP:
+        return Belief(np.eye(b.probs.size)[b.argmax()])
+    return b
+
+
 def plan(
     kind: PlannerKind,
     model: ProblemModel,
@@ -154,9 +164,11 @@ def plan(
 ) -> ExecutablePlan:
     """`kind`'s plan from (x0, b0). PODDP solves the contingency tree; the
     baselines solve a one-segment chain, MLDDP on the most likely latent
-    value and PWDDP on the stacked model from x0 copied per latent value."""
+    value and PWDDP on the stacked model from x0 copied per latent value.
+    Each reads only `planning_belief(kind, b0)` of the belief."""
+    b0 = planning_belief(kind, b0)
     if kind is PlannerKind.MLDDP:
-        model = condition_on_latent(model, b0.argmax())  # ties: lowest index
+        model = condition_on_latent(model, b0.argmax())
     elif kind is PlannerKind.PWDDP:
         x0 = np.tile(np.asarray(x0, dtype=float), model.num_latents)
         model = stacked_model(model, b0)

@@ -125,16 +125,20 @@ def evidence(o, x_next, means, model):
     """Log-likelihood L(z) = log p(o | x_next, z) + log p(x_next | means[z], z)
     of one step's evidence under every latent value z, both Gaussian with
     the model's per-coordinate variances, each density evaluated once over
-    the stacked latents. `means` holds the transition means, row z
-    f(x, u, z); the model's dynamics noise is their variances, and without
-    it there is no transition evidence. Returns (L, observation means,
-    observation variances)."""
+    the stacked latents. `o` is the observation, or an int w standing for
+    the observation latent w predicts at x_next (a branch's maximum-likelihood
+    outcome), read from the observation means evaluated here. `means` holds
+    the transition means, row z f(x, u, z); the model's dynamics noise is
+    their variances, and without it there is no transition evidence. Returns
+    (L, observation means, observation variances)."""
     nz = model.num_latents
     latents = range(nz)
     obs_mean = np.array(
         [model.observation_mean(x_next, z) for z in latents], dtype=float
     ).reshape(nz, -1)
     obs_var = np.array([model.observation_noise(x_next, z) for z in latents], float)
+    if isinstance(o, (int, np.integer)):
+        o = obs_mean[o]
     loglik = gaussian_log_density(o, obs_mean, obs_var)
     if model.dynamics_noise is not None:
         loglik += gaussian_log_density(x_next, means, model.dynamics_noise)
@@ -144,7 +148,8 @@ def evidence(o, x_next, means, model):
 def bayes_update(o, x_next, means, b: Belief, model) -> Belief:
     """One recursive Bayes step over the latent hypotheses: the posterior
     is proportional to b(z) exp(L(z)), L the log-likelihood of `evidence`
-    with transition means `means`."""
+    of observation `o` (or a latent index, as there) with transition means
+    `means`."""
     with np.errstate(divide="ignore"):
         log_prior = np.log(b.probs)
     loglik = evidence(o, x_next, means, model)[0]

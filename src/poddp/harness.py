@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .baselines import PlannerKind, plan
+from .baselines import PlannerKind, plan, planning_belief
 from .belief import Belief, DegenerateEvidenceError, bayes_update
 from .model import ProblemModel
 from .solver import SolverConfig
@@ -76,9 +76,12 @@ def execute_episode(
     """One closed-loop episode under latent value `true_z`; controls are
     clipped to [control_low, control_high].
 
-    Plans are pure functions of (x, b, schedule, warm start). `_plan_cache`
-    shares them across the episodes of a batch, so identical prefixes
-    (always the initial solve) are planned once per batch.
+    Plans are pure functions of (x, the part of b the planner reads,
+    schedule, warm start), where that part is `planning_belief`: every
+    probability for PODDP and PWDDP, the most likely value for MLDDP.
+    `_plan_cache` shares plans across the episodes of a batch under that key,
+    so identical problems (always the initial solve) are planned once per
+    batch.
     """
     if not 0 <= true_z < model.num_latents:
         raise ValueError("true_z outside the latent set")
@@ -106,7 +109,8 @@ def execute_episode(
         warm_key = None if warm is None else tuple(
             (h, u.tobytes()) for h, u in sorted(warm.items())
         )
-        cache_key = (x.tobytes(), b.probs.tobytes(), len(remaining_segments), warm_key)
+        belief_key = planning_belief(planner, b).probs.tobytes()
+        cache_key = (x.tobytes(), belief_key, len(remaining_segments), warm_key)
         current = cache.get(cache_key)
         if current is None:
             current = plan(planner, model, x, b, seg_cfg, u_init=warm)

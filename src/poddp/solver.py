@@ -141,8 +141,8 @@ def forward_pass(
                 succ = np.array([model.dynamics_mean(x, u, z) for z in range(nz)], float)
                 _check_finite(succ.ravel(), "state")
                 for z, x_next in enumerate(succ):
-                    o_next = model.observation_mean(x_next, z)
-                    b_next = bayes_update(o_next, x_next, succ, b, model)
+                    # Branch z observes the mean observation of latent z.
+                    b_next = bayes_update(z, x_next, succ, b, model)
                     roll(h + (z,), x_next, np.log(b_next.probs), b_next)
         if leaf:
             xs.append(x)
@@ -266,9 +266,10 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, succ) -> np.ndarray:
 
     Row z of `succ` is x'_z = f(x, u, z), observed as o_z = h(x'_z, z), and
     beta'_z = log floor(softmax(beta + L)), where L is the log-likelihood
-    of (o_z, x'_z) with transition means `succ`, as in `bayes_update`. No
-    callback gives the derivative of the observation variances, so it is
-    differenced.
+    of (o_z, x'_z) with transition means `succ`, as in `bayes_update`. One
+    `evidence` pass per branch gives o_z and every latent's observation
+    moments. No callback gives the derivative of the observation variances,
+    so it is differenced.
     """
     n, nz, nu = model.state_dim, model.num_latents, model.control_dim
     ns = n + nz
@@ -276,19 +277,18 @@ def _branch_jacobians(model: ProblemModel, x, beta, u, succ) -> np.ndarray:
     jacs = np.zeros((nz, ns, ns + nu))
     jacs[:, :n, :n], jacs[:, :n, ns:] = d_succ[..., :n], d_succ[..., n:]
     for z, x_next in enumerate(succ):
-        o = np.atleast_1d(np.asarray(model.observation_mean(x_next, z), dtype=float))
-        h_z = model.observation_jacobian(x_next, z)
+        loglik, obs_mean, obs_var = evidence(z, x_next, succ, model)
+        obs_jac = [model.observation_jacobian(x_next, w) for w in range(nz)]
         d_var = numerical_jacobian(
             lambda xn: np.concatenate([model.observation_noise(xn, w) for w in range(nz)]),
             x_next,
-        ).reshape(nz, o.size, n)
+        ).reshape(obs_var.shape + (n,))
 
-        loglik, obs_mean, obs_var = evidence(o, x_next, succ, model)
         inv_var = 1.0 / obs_var
         d_loglik = np.empty((nz, n + nu))  # d L_w / d(x, u)
-        for w, a in enumerate(inv_var * (o - obs_mean)):
+        for w, a in enumerate(inv_var * (obs_mean[z] - obs_mean)):
             d_next = (
-                -a @ (h_z - model.observation_jacobian(x_next, w))
+                -a @ (obs_jac[z] - obs_jac[w])
                 + 0.5 * np.einsum("i,ic,i->c", a, d_var[w], a)
                 - 0.5 * (inv_var[w] @ d_var[w])
             )

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines
 as they complete. Several criteria share expensive artifacts through
-module-scoped fixtures; the full gate takes about 2.5 minutes on a 2-core
+module-scoped fixtures; the full gate takes under 2 minutes on a 2-core
 host.
 """
 

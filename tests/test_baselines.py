@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import poddp.solver
-from poddp.baselines import PlannerKind, plan, stacked_model
+from poddp.baselines import PlannerKind, plan, planning_belief, stacked_model
 from poddp.belief import Belief, logits
 from poddp.model import condition_on_latent
 from poddp.solver import BackwardFailureError, SolverConfig, solve
@@ -58,6 +58,22 @@ def test_mlddp_invariant_to_belief_within_argmax(tmaze_scenario):
         PlannerKind.MLDDP, sc.model, sc.initial_state, Belief(np.array([0.95, 0.05])), config
     )
     np.testing.assert_array_equal(a.result.tree.controls[()], b.result.tree.controls[()])
+
+
+def test_probability_readers_plan_apart_within_argmax(tmaze_scenario):
+    # PODDP and PWDDP weigh every probability, so two beliefs with one most
+    # likely value give them two plans. `planning_belief`, the harness's
+    # plan-cache key, must keep the two apart for them, and only for MLDDP
+    # may it make them one.
+    sc = tmaze_scenario
+    config = _tmaze_config(sc, max_iterations=10)
+    beliefs = Belief(np.array([0.6, 0.4])), Belief(np.array([0.95, 0.05]))
+    for kind in PlannerKind:
+        key_a, key_b = (planning_belief(kind, bel).probs for bel in beliefs)
+        assert np.array_equal(key_a, key_b) == (kind is PlannerKind.MLDDP), kind
+    for kind in (PlannerKind.PODDP, PlannerKind.PWDDP):
+        a, b = (plan(kind, sc.model, sc.initial_state, bel, config) for bel in beliefs)
+        assert not np.array_equal(a.result.tree.controls[()], b.result.tree.controls[()]), kind
 
 
 def test_mlddp_right_prior_terminates_in_right_arm(tmaze_scenario):

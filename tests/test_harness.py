@@ -86,6 +86,66 @@ def test_plan_cache_keys_on_the_warm_start(monkeypatch):
     assert len(planned) == 2 * sc.segments - 1
 
 
+class _NeverHit(dict):
+    """A plan cache that never returns a plan, so every replan is planned."""
+
+    def get(self, key, default=None):
+        return None
+
+
+@pytest.mark.parametrize("name", ["tmaze", "lanechange"])
+@pytest.mark.parametrize("planner", list(PlannerKind))
+def test_shared_plans_equal_fresh_plans(name, planner, request, monkeypatch):
+    # The batch's plan cache keys on what each planner reads of the belief,
+    # so a batch that shares plans replays, bit for bit, one that plans anew
+    # at every replan.
+    from poddp import harness
+    from poddp.cli import BENCH_BUDGET
+
+    sc = request.getfixturevalue(f"{name}_scenario")
+    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, **BENCH_BUDGET)
+
+    def batch():
+        return run_batch(planner, sc.model, sc.initial_state, sc.prior, 4, 0, config,
+                         sc.control_low, sc.control_high)
+
+    shared = batch()
+    real_episode = harness.execute_episode
+    monkeypatch.setattr(
+        harness, "execute_episode",
+        lambda *args, _plan_cache, **kwargs: real_episode(
+            *args, _plan_cache=_NeverHit(), **kwargs
+        ),
+    )
+    fresh = batch()
+    for a, b in zip(shared.traces, fresh.traces, strict=True):
+        assert a.cumulative_cost == b.cumulative_cost
+        np.testing.assert_array_equal(a.final_state, b.final_state)
+        assert a.converged == b.converged
+
+
+def test_mlddp_plans_each_distinct_problem_once(tmaze_scenario, monkeypatch):
+    # The T-maze is deterministic, so its episodes reach the same states and
+    # most likely values: 8 MLDDP episodes make 7 distinct plans, not one
+    # per replan (17).
+    from poddp import harness
+    from poddp.cli import BENCH_BUDGET
+
+    sc = tmaze_scenario
+    config = SolverConfig(horizon=sc.horizon, segments=sc.segments, **BENCH_BUDGET)
+    planned = []
+    real_plan = harness.plan
+
+    def counting_plan(*args, **kwargs):
+        planned.append(args)
+        return real_plan(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "plan", counting_plan)
+    run_batch(PlannerKind.MLDDP, sc.model, sc.initial_state, sc.prior, 8, 0, config,
+              sc.control_low, sc.control_high)
+    assert len(planned) == 7
+
+
 def test_degenerate_evidence_replans_from_the_prior(monkeypatch):
     # An observation no hypothesis explains leaves the belief as it was: the
     # episode goes on, and every replan starts from the prior.

@@ -1,8 +1,10 @@
 """PODDP solver: forward pass, tree cost, Q-expansion, backward pass, solve."""
 
+import dataclasses
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -590,7 +592,38 @@ def test_evidence_equals_per_latent_densities(noise_scale):
             expected[z] += gaussian_log_density(
                 x_next, model.dynamics_mean(x, u, z), model.dynamics_noise_for(z)
             )
-        assert _same_bits(evidence(o, x_next, _successors(model, x, u), model)[0], expected)
+        means = _successors(model, x, u)
+        assert _same_bits(evidence(o, x_next, means, model)[0], expected)
+        # A latent index stands for that latent's mean observation.
+        assert _same_bits(evidence(2, x_next, means, model)[0], expected)
+
+
+def test_each_child_evaluates_its_observation_moments_once(tmaze_scenario):
+    # The rollout and the linearization each evaluate a branch child's
+    # observation mean and Jacobian once per latent value: the child's own
+    # maximum-likelihood observation is read from that one pass.
+    sc = tmaze_scenario
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(sc.model, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    names = ("observation_mean", "observation_jacobian")
+    model = dataclasses.replace(sc.model, **{name: counted(name) for name in names})
+    lengths = SolverConfig(horizon=sc.horizon, segments=sc.segments).segment_lengths()
+    u_nom = _nominal_controls(model, lengths, np.random.default_rng(3))
+    tree = forward_pass(model, sc.initial_state, sc.prior, u_nom, None, None, 1.0, lengths)
+    pairs = (len(tree.xs) - 1) * model.num_latents  # (child, latent) pairs
+    assert calls == {"observation_mean": pairs}
+    calls.clear()
+    linearize(model, tree)
+    assert calls == {"observation_mean": pairs, "observation_jacobian": pairs}
 
 
 def _check_branch_jacobians(model, x, beta, u):
